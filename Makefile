@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-noasm race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
+.PHONY: all build test test-noasm bench-test race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
 
 all: build vet test
 
@@ -20,6 +20,11 @@ test-noasm:
 	$(GO) test -tags noasm ./...
 	ANNA_NOSIMD=1 $(GO) test ./internal/simd/ ./internal/vecmath/ ./internal/pq/ ./internal/ivf/ ./internal/engine/
 
+# The repository benchmark (bench/, see BENCHMARK.json) is a nested
+# module, so the root `go test ./...` never enters it; this does.
+bench-test:
+	cd bench && $(GO) test ./...
+
 race:
 	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .
 
@@ -28,7 +33,7 @@ race:
 # (Two exceptions stay CI-only: lint resolves staticcheck over the
 # network, and the qemu arm64 cross-test job apt-installs its emulator.
 # ci-cross covers the same platforms' compile half offline.)
-ci: fmt-check build vet test test-noasm ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
+ci: fmt-check build vet test test-noasm bench-test ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
 
 # The CI cross-compile job: build and vet every supported platform. The
 # assembly is amd64-only, so this proves the fallback dispatch and build
@@ -71,12 +76,13 @@ cluster-integration:
 # The CI fuzz-smoke job: hammer both durable-input decoders — the index
 # loader and the WAL reader — with coverage-guided corrupt inputs (a
 # finding there means a hostile or damaged file can crash the server),
-# then the two assembly-vs-reference differential fuzzers (a finding
+# then the three assembly-vs-reference differential fuzzers (a finding
 # there means a SIMD kernel disagrees with the pure-Go semantics).
 fuzz-smoke:
 	$(GO) test ./internal/ivf/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzScanADCDiff -fuzztime=30s
+	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzFillLUTDiff -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzDotDiff -fuzztime=30s
 
 # The CI bench-smoke job: small-budget benchmark runs recorded as JSON

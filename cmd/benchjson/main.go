@@ -11,7 +11,10 @@
 // (blocked batch encoder, parallel deterministic k-means). Seed
 // baselines were measured on the commit preceding each optimisation
 // (same machine class as CI): they are the "before" column, the fresh
-// run is "after".
+// run is "after". Benchmarks that report a scalar-ns/op metric are
+// interleaved A/Bs instead: they time the scalar and the assembly
+// dispatch of this tree in alternating rounds of one process, and that
+// scalar side — not a recorded number — is their "before".
 //
 // The "serve" suite is different in kind: it delegates to the annaload
 // load generator, which self-hosts a synthetic index and measures whole
@@ -44,14 +47,20 @@ type Metrics struct {
 	AllocsPerOp *float64 `json:"allocs_op,omitempty"`
 	QPS         *float64 `json:"qps,omitempty"`
 	NsPerQuery  *float64 `json:"ns_query,omitempty"`
+	// scalarNsPerOp is the scalar-dispatch side of an interleaved A/B
+	// benchmark; it becomes the entry's Before.
+	scalarNsPerOp *float64
 }
 
 // Entry pairs the recorded seed baseline with the fresh measurement.
 type Entry struct {
 	Package string   `json:"package"`
-	Before  *Metrics `json:"before,omitempty"` // seed (pre fused kernel); nil for new benchmarks
+	Before  *Metrics `json:"before,omitempty"` // recorded seed baseline, or the A/B's scalar side; nil for new benchmarks
 	After   *Metrics `json:"after"`
 	Speedup *float64 `json:"speedup,omitempty"` // before.ns_op / after.ns_op
+	// AB marks Before as measured in this run: the scalar dispatch of
+	// the same tree, interleaved with After in one process.
+	AB string `json:"ab,omitempty"`
 }
 
 // SIMDInfo records the kernel dispatch active for the run, read from
@@ -106,13 +115,15 @@ var suites = map[string]suite{
 	// recorded before the fused kernel landed.
 	"engine": {
 		out:   "BENCH_engine.json",
-		bench: "Search|ADC|Major",
+		bench: "Search|ADC|Major|BuildLUT",
 		pkgs:  []string{"./internal/ivf/", "./internal/pq/", "./internal/engine/", "./internal/simd/"},
 		description: "CPU-engine scan benchmarks. 'before' is the recorded pre-optimisation baseline: " +
 			"the seed commit (per-vector Unpack+ADC+Push scan, goroutine-per-query engine) for the " +
 			"SearchW8/ADC_M64/*Major entries, and the pure-Go scalar kernels (pre-SIMD tree, same " +
 			"machine class) for the ScanADC/ADCSums entries; 'after' is this tree (fused packed-code " +
-			"scan through the AVX2 assembly kernels when the CPU supports them).",
+			"scan through the AVX2 assembly kernels when the CPU supports them). Entries with an 'ab' " +
+			"field (BuildLUT_L2, ScanListADC_*) carry no recorded number: their 'before' is the scalar " +
+			"dispatch of this same tree, timed in rounds alternating with 'after' inside one process.",
 		baselines: map[string]*Metrics{
 			"anna/internal/ivf.BenchmarkSearchW8":        {NsPerOp: 270550, BytesPerOp: f(6672), AllocsPerOp: f(14)},
 			"anna/internal/pq.BenchmarkADC_M64":          {NsPerOp: 50.79, BytesPerOp: f(0), AllocsPerOp: f(0)},
@@ -227,7 +238,11 @@ func main() {
 			}
 		}
 		e := &Entry{Package: pkg, After: metrics}
-		if before, ok := s.baselines[key]; ok {
+		if metrics.scalarNsPerOp != nil {
+			e.Before = &Metrics{NsPerOp: *metrics.scalarNsPerOp}
+			e.Speedup = f(*metrics.scalarNsPerOp / metrics.NsPerOp)
+			e.AB = "scalar vs asm dispatch, same process, alternating rounds, medians"
+		} else if before, ok := s.baselines[key]; ok {
 			e.Before = before
 			if before.QPS == nil {
 				if nq, ok := queriesPerOp[name]; ok && before.NsPerOp > 0 {
@@ -304,6 +319,8 @@ func parseMetrics(tail string) *Metrics {
 			out.QPS = f(v)
 		case "ns/query":
 			out.NsPerQuery = f(v)
+		case "scalar-ns/op":
+			out.scalarNsPerOp = f(v)
 		}
 	}
 	return out

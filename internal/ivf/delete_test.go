@@ -2,9 +2,12 @@ package ivf
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"anna/internal/pq"
+	"anna/internal/simd"
+	"anna/internal/topk"
 	"anna/internal/vecmath"
 )
 
@@ -130,6 +133,52 @@ func TestDeleteVisibleToAccelScan(t *testing.T) {
 	for _, r := range res {
 		if r.ID == int64(ds.Base.Rows-1) {
 			t.Fatal("tombstoned ID surfaced")
+		}
+	}
+}
+
+// TestTombstonesKeepKernelPath pins the tombstone contract of the fused
+// scan: lists are scored through the same kernels whether or not the
+// index has deletions, `deleted` is consulted only for threshold
+// survivors, and the selector ends up bit-identical to the reference
+// ScanList, which drops dead rows before scoring them. Small k keeps the
+// threshold gate (and the kernel's survivor mask) live; both dispatch
+// modes, code widths, metrics and rounding modes run.
+func TestTombstonesKeepKernelPath(t *testing.T) {
+	for _, metric := range []pq.Metric{pq.L2, pq.InnerProduct} {
+		for _, ks := range []int{16, 256} {
+			idx, ds := buildScanIndex(t, metric, ks)
+			q := idx.PrepQuery(ds.Queries.Row(2))
+			// Tombstone the query's best candidates (rows that pass
+			// every gate) plus a spread of ordinary rows.
+			for _, r := range idx.Search(ds.Queries.Row(2), SearchParams{W: idx.NClusters(), K: 5}) {
+				idx.Delete(r.ID)
+			}
+			for id := int64(0); id < int64(idx.NTotal); id += 9 {
+				idx.Delete(id)
+			}
+			lut := pq.NewLUT(idx.PQ)
+			scratch := make([]float32, idx.D)
+			codeBuf := make([]byte, idx.PQ.M)
+			for _, hw := range []bool{false, true} {
+				for _, simdOn := range []bool{false, true} {
+					prev := simd.SetEnabled(simdOn)
+					fused, ref := topk.NewSelector(7), topk.NewSelector(7)
+					for c := 0; c < idx.NClusters(); c++ {
+						idx.BuildLUT(lut, q, c, scratch, hw)
+						idx.ScanListADC(fused, lut, c, hw)
+						idx.ScanList(ref, lut, c, codeBuf, hw)
+					}
+					simd.SetEnabled(prev)
+					label := fmt.Sprintf("%v Ks=%d hw=%v simd=%v", metric, ks, hw, simdOn)
+					requireIdentical(t, label, fused.Results(), ref.Results())
+					for _, r := range fused.Results() {
+						if idx.Deleted(r.ID) {
+							t.Fatalf("%s: tombstoned id %d returned", label, r.ID)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -283,19 +283,16 @@ func (x *Index) SelectClusters(q []float32, w int) []int {
 // BuildLUT performs search step 2 (lookup table construction) for query q
 // and cluster c. For inner product the table contents are
 // cluster-independent and Bias carries the q·c term; for L2 the table is
-// built from the residual q-c (Section II-C). scratch, if non-nil and of
-// length D, avoids an allocation. When hwF16 is true the table is rounded
+// built from the residual q-c (Section II-C), which the fill kernel
+// subtracts on the fly — scratch, if of length D, only saves the
+// per-entry path an allocation. When hwF16 is true the table is rounded
 // through half precision as ANNA's 2-byte LUT SRAM would store it.
 func (x *Index) BuildLUT(l *pq.LUT, q []float32, c int, scratch []float32, hwF16 bool) {
 	if x.Metric == pq.InnerProduct {
 		x.PQ.FillIP(l, q)
 		l.Bias = vecmath.Dot(q, x.Centroids.Row(c))
 	} else {
-		if len(scratch) != x.D {
-			scratch = make([]float32, x.D)
-		}
-		vecmath.Sub(scratch, q, x.Centroids.Row(c))
-		x.PQ.FillL2(l, scratch)
+		x.PQ.FillL2Residual(l, q, x.Centroids.Row(c), scratch)
 	}
 	if hwF16 {
 		l.RoundF16()

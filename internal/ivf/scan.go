@@ -94,32 +94,13 @@ func (x *Index) RebiasLUTFromScore(l *pq.LUT, score float32, hwF16 bool) {
 // ScanListADC is the fused version of ScanList (search step 3): it walks
 // cluster c's packed codes directly — no per-vector Unpack — and offers a
 // candidate to sel only when its score beats the selector's current
-// threshold. Results are bit-identical to ScanList for both metrics, both
-// code widths and both rounding modes, with or without tombstones.
+// threshold. Tombstones do not change the path: every row goes through
+// the same kernel and only threshold survivors are checked against the
+// deleted set. Results are bit-identical to ScanList for both metrics,
+// both code widths and both rounding modes, with or without tombstones.
 func (x *Index) ScanListADC(sel *topk.Selector, l *pq.LUT, c int, hwF16 bool) {
 	lst := &x.Lists[c]
-	cb := x.PQ.CodeBytes()
-	nibble := x.PQ.CodeBits() == 4
-	if len(x.deleted) == 0 {
-		l.ScanADC(sel, lst.IDs, lst.Codes, cb, nibble, hwF16)
-		return
-	}
-	// Tombstone path: same kernel arithmetic, gated per vector.
-	thresh, full := sel.Threshold()
-	for i, id := range lst.IDs {
-		if _, dead := x.deleted[id]; dead {
-			continue
-		}
-		s := l.ADCPacked(lst.Codes[i*cb:], nibble)
-		if hwF16 {
-			s = f16.Round(s)
-		}
-		if full && s <= thresh {
-			continue
-		}
-		sel.Push(id, s)
-		thresh, full = sel.Threshold()
-	}
+	l.ScanADCSkip(sel, lst.IDs, lst.Codes, x.PQ.CodeBytes(), x.PQ.CodeBits() == 4, hwF16, x.deleted)
 }
 
 // Searcher bundles every per-thread buffer a fused search needs — cluster

@@ -17,6 +17,7 @@ import (
 	"anna/internal/f16"
 	"anna/internal/kmeans"
 	"anna/internal/par"
+	"anna/internal/simd"
 	"anna/internal/vecmath"
 )
 
@@ -61,6 +62,12 @@ type Quantizer struct {
 	// before any encoding starts.
 	normsOnce sync.Once
 	norms     []float32
+
+	// transposed caches the dimension-major codebook copy the LUT fill
+	// kernel reads (simd.TransposeCodebooks), under the same rule:
+	// computed on first use, codebooks final by then.
+	transposedOnce sync.Once
+	transposed     []float32
 }
 
 // codewordNorms returns the cached squared-norm table, computing it on
@@ -74,6 +81,15 @@ func (q *Quantizer) codewordNorms() []float32 {
 		q.norms = n
 	})
 	return q.norms
+}
+
+// transposedCodebooks returns the cached dimension-major codebooks,
+// computing them on first use. Safe for concurrent callers.
+func (q *Quantizer) transposedCodebooks() []float32 {
+	q.transposedOnce.Do(func() {
+		q.transposed = simd.TransposeCodebooks(q.Codebooks.Data, q.M, q.Ks, q.Dsub)
+	})
+	return q.transposed
 }
 
 // Config controls quantizer training.
@@ -209,15 +225,53 @@ type LUT struct {
 	// Bias is added to every ADC sum: q·c for inner-product search with a
 	// cluster centroid (Section II-C); zero otherwise.
 	Bias float32
+
+	// planes mirrors Values as the byte planes the 4-bit scan kernel
+	// shuffles through (simd.BuildNibblePlanes layout, 64 bytes per
+	// table); nil unless Ks == 16. planesOK says the mirror is current:
+	// FillIP, FillL2* and RoundF16 refresh it while the kernels are
+	// enabled and mark it stale otherwise (scalar dispatch never reads
+	// planes, so it does not pay for them), and the scan takes the
+	// kernel path only on a current mirror. Code that stores into
+	// Values directly must call SyncPlanes before scanning.
+	planes   []byte
+	planesOK bool
 }
 
 // NewLUT allocates an empty LUT for quantizer q.
 func NewLUT(q *Quantizer) *LUT {
-	return &LUT{M: q.M, Ks: q.Ks, Values: make([]float32, q.M*q.Ks)}
+	l := &LUT{M: q.M, Ks: q.Ks, Values: make([]float32, q.M*q.Ks)}
+	if q.Ks == 16 {
+		l.planes = make([]byte, q.M*64)
+		l.planesOK = true // all-zero planes mirror all-zero tables
+	}
+	return l
+}
+
+// SyncPlanes re-derives the scan kernel's byte planes from Values. The
+// fill and rounding methods call it themselves; only callers that write
+// Values by hand need to.
+func (l *LUT) SyncPlanes() {
+	l.planesOK = l.planes != nil && simd.Enabled()
+	if l.planesOK {
+		simd.BuildNibblePlanes(l.planes, l.Values, l.Ks, l.M)
+	}
 }
 
 // At returns entry j of table i.
 func (l *LUT) At(i, j int) float32 { return l.Values[i*l.Ks+j] }
+
+// fillKernelMaxDsub bounds the sub-space widths the lane-per-codeword
+// fill kernel serves: below it vecmath.Dot/L2Sq are the sequential
+// scalar loops the kernel reproduces bit for bit; from it on they
+// dispatch to the reassociating FMA reduction kernel, which the
+// per-entry path keeps calling. The kernel also works in blocks of 16
+// codewords (simd.FillLUT's contract), hence the Ks test below.
+const fillKernelMaxDsub = 16
+
+func (q *Quantizer) useFillKernel() bool {
+	return simd.Enabled() && q.Dsub < fillKernelMaxDsub && q.Ks%16 == 0
+}
 
 // FillIP fills l with inner-product tables for query qv:
 // L_i[j] = q_i · B_i[j]. The tables are independent of the cluster, so a
@@ -226,13 +280,7 @@ func (q *Quantizer) FillIP(l *LUT, qv []float32) {
 	if len(qv) != q.D {
 		panic("pq: FillIP dimension mismatch")
 	}
-	for i := 0; i < q.M; i++ {
-		sv := qv[i*q.Dsub : (i+1)*q.Dsub]
-		for j := 0; j < q.Ks; j++ {
-			l.Values[i*q.Ks+j] = vecmath.Dot(sv, q.Codeword(i, j))
-		}
-	}
-	l.Bias = 0
+	q.fill(l, qv, nil, nil, false)
 }
 
 // FillL2 fills l with negated squared-L2 tables for the residual query
@@ -242,13 +290,47 @@ func (q *Quantizer) FillL2(l *LUT, rq []float32) {
 	if len(rq) != q.D {
 		panic("pq: FillL2 dimension mismatch")
 	}
+	q.fill(l, rq, nil, nil, true)
+}
+
+// FillL2Residual is FillL2 for rq = qv - cv, bit-identical to
+// subtracting first. The fill kernel folds the subtraction in; the
+// per-entry path materialises rq in scratch (allocated when its length
+// is not D).
+func (q *Quantizer) FillL2Residual(l *LUT, qv, cv, scratch []float32) {
+	if len(qv) != q.D || len(cv) != q.D {
+		panic("pq: FillL2Residual dimension mismatch")
+	}
+	q.fill(l, qv, cv, scratch, true)
+}
+
+// fill writes the tables of qv (minus cv when non-nil) and their
+// planes, and clears the bias.
+func (q *Quantizer) fill(l *LUT, qv, cv, scratch []float32, l2 bool) {
+	l.Bias = 0
+	if q.useFillKernel() {
+		simd.FillLUT(l.Values, l.planes, q.transposedCodebooks(), qv, cv, q.M, q.Ks, q.Dsub, l2)
+		l.planesOK = l.planes != nil
+		return
+	}
+	if cv != nil {
+		if len(scratch) != q.D {
+			scratch = make([]float32, q.D)
+		}
+		vecmath.Sub(scratch, qv, cv)
+		qv = scratch
+	}
 	for i := 0; i < q.M; i++ {
-		sv := rq[i*q.Dsub : (i+1)*q.Dsub]
+		sv := qv[i*q.Dsub : (i+1)*q.Dsub]
 		for j := 0; j < q.Ks; j++ {
-			l.Values[i*q.Ks+j] = -vecmath.L2Sq(sv, q.Codeword(i, j))
+			if l2 {
+				l.Values[i*q.Ks+j] = -vecmath.L2Sq(sv, q.Codeword(i, j))
+			} else {
+				l.Values[i*q.Ks+j] = vecmath.Dot(sv, q.Codeword(i, j))
+			}
 		}
 	}
-	l.Bias = 0
+	l.SyncPlanes()
 }
 
 // RoundF16 rounds every table entry (and the bias) through half precision,
@@ -256,6 +338,7 @@ func (q *Quantizer) FillL2(l *LUT, rq []float32) {
 func (l *LUT) RoundF16() {
 	f16.RoundSlice(l.Values, l.Values)
 	l.Bias = f16.Round(l.Bias)
+	l.SyncPlanes()
 }
 
 // ADC computes the approximate similarity of the encoded vector (one

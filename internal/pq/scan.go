@@ -17,6 +17,8 @@ package pq
 // contents are also bit-identical.
 
 import (
+	"math/bits"
+
 	"anna/internal/f16"
 	"anna/internal/simd"
 	"anna/internal/topk"
@@ -29,14 +31,17 @@ import (
 // scalar path (same scores, same visit order).
 const (
 	// scanBlockRows is the row-block size: big enough to amortize the
-	// kernel call, small enough that sums and the nibble plane tables
-	// stay comfortably on the stack and in L1.
+	// kernel call, small enough that the sums stay comfortably on the
+	// stack and in L1.
 	scanBlockRows = 256
 	// scanMaxGroups caps how many 4-byte code columns (8 sub-spaces
-	// each) the 4-bit kernel covers; sub-spaces beyond 8*scanMaxGroups
-	// are added by the scalar tail. 8 groups = 64 sub-spaces, the
-	// largest M the paper's configurations use.
+	// each) the 4-bit kernel covers, which bounds the padded remainder
+	// buffer; sub-spaces beyond 8*scanMaxGroups are added by the scalar
+	// tail. 8 groups = 64 sub-spaces, the largest M the paper's
+	// configurations use.
 	scanMaxGroups = 8
+	// scanKernelRows4 is the 4-bit kernel's row granularity.
+	scanKernelRows4 = 32
 )
 
 // useScanSIMD4 reports whether the packed-nibble list scan should take
@@ -64,16 +69,27 @@ func useScanSIMD8(ks, m int) bool {
 // as LUT.ADCf16 does. Results are bit-identical to the reference
 // Unpack+ADC+Push loop over the same list.
 func (l *LUT) ScanADC(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, nibble, hwF16 bool) {
+	l.ScanADCSkip(sel, ids, packed, codeBytes, nibble, hwF16, nil)
+}
+
+// ScanADCSkip is ScanADC over a list with tombstones: rows whose ID is
+// in dead are never offered. Every row is still scored — through the
+// same kernels as a clean list — and dead is consulted only for rows
+// that pass the threshold gate, so one tombstone costs a map lookup per
+// candidate, not per vector. Skipping a row before or after scoring it
+// leaves the selector the same, so results are bit-identical to
+// filtering first.
+func (l *LUT) ScanADCSkip(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, nibble, hwF16 bool, dead map[int64]struct{}) {
 	vals := l.Values
 	bias := l.Bias
 	ks := l.Ks
 	m := l.M
-	if nibble && useScanSIMD4(ks, m) && len(ids) >= 16 {
-		l.scanADC4SIMD(sel, ids, packed, codeBytes, hwF16)
+	if nibble && useScanSIMD4(ks, m) && l.planesOK {
+		l.scanADC4SIMD(sel, ids, packed, codeBytes, hwF16, dead)
 		return
 	}
 	if !nibble && useScanSIMD8(ks, m) && len(ids) >= 8 {
-		l.scanADC8SIMD(sel, ids, packed, codeBytes, hwF16)
+		l.scanADC8SIMD(sel, ids, packed, codeBytes, hwF16, dead)
 		return
 	}
 	thresh, full := sel.Threshold()
@@ -111,8 +127,7 @@ func (l *LUT) ScanADC(sel *topk.Selector, ids []int64, packed []byte, codeBytes 
 			if full && s <= thresh {
 				continue
 			}
-			sel.Push(id, s)
-			thresh, full = sel.Threshold()
+			thresh, full = offer(sel, dead, id, s)
 		}
 		return
 	}
@@ -142,55 +157,90 @@ func (l *LUT) ScanADC(sel *topk.Selector, ids []int64, packed []byte, codeBytes 
 		if full && s <= thresh {
 			continue
 		}
-		sel.Push(id, s)
-		thresh, full = sel.Threshold()
+		thresh, full = offer(sel, dead, id, s)
 	}
 }
 
+// offer pushes a row that passed the threshold gate, unless it is
+// tombstoned, and returns the selector's refreshed threshold.
+func offer(sel *topk.Selector, dead map[int64]struct{}, id int64, s float32) (thresh float32, full bool) {
+	if len(dead) != 0 {
+		if _, skip := dead[id]; skip {
+			return sel.Threshold()
+		}
+	}
+	sel.Push(id, s)
+	return sel.Threshold()
+}
+
 // scanADC4SIMD is the assembly-backed packed-nibble list scan. Blocks of
-// scanBlockRows rows go through the 16-lane PSHUFB kernel, which returns
-// bias plus the first 8*groups sub-spaces per row; the scalar tail below
-// adds any remaining sub-spaces in the same ascending order, so every
-// score is bit-identical to the scalar path. The nibble plane tables and
-// the block sums live on the stack — the scan allocates nothing.
-func (l *LUT) scanADC4SIMD(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, hwF16 bool) {
+// scanBlockRows rows go through the 32-lane PSHUFB kernel over the
+// LUT's own planes, which returns bias plus the first 8*groups
+// sub-spaces per row and one survivor bit per row, gated against the
+// selector threshold at block entry. The Go side visits only set bits,
+// in row order, re-checking each against the live threshold: the
+// threshold only rises, so the kernel's stale gate can pass a row the
+// scalar path would skip but never drop one it would push. The block
+// remainder is scored through the same kernel on a zero-padded stack
+// copy. Sums, masks and padding live on the stack — the scan allocates
+// nothing.
+func (l *LUT) scanADC4SIMD(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, hwF16 bool, dead map[int64]struct{}) {
 	groups := l.M / 8
 	if groups > scanMaxGroups {
 		groups = scanMaxGroups
 	}
 	mAsm := 8 * groups
-	var planes [scanMaxGroups * 8 * 64]byte
-	simd.BuildNibblePlanes(planes[:8*groups*64], l.Values, l.Ks, mAsm)
 	hasTail := mAsm < l.M
-	var sums [scanBlockRows]float32
+	var (
+		sums [scanBlockRows]float32
+		mask [scanBlockRows / scanKernelRows4]uint32
+		pad  [scanKernelRows4 * 4 * scanMaxGroups]byte
+	)
 	thresh, full := sel.Threshold()
 	for start := 0; start < len(ids); start += scanBlockRows {
 		n := len(ids) - start
 		if n > scanBlockRows {
 			n = scanBlockRows
 		}
-		nAsm := n &^ 15
+		nAsm := n &^ (scanKernelRows4 - 1)
 		block := packed[start*codeBytes:]
-		simd.ADCSums4(planes[:], l.Bias, block, codeBytes, groups, sums[:nAsm])
-		for r := 0; r < n; r++ {
-			row := block[r*codeBytes : r*codeBytes+codeBytes]
-			var s float32
-			switch {
-			case r >= nAsm: // sub-16 block remainder: full scalar row
-				s = l.adcTail4(row, 0, l.Bias)
-			case hasTail:
-				s = l.adcTail4(row, mAsm, sums[r])
-			default:
-				s = sums[r]
+		simd.ADCSums4(l.planes, l.Bias, block, codeBytes, groups, sums[:nAsm], thresh, mask[:nAsm/scanKernelRows4])
+		if rem := n - nAsm; rem > 0 {
+			// Only a list's last block has a remainder, so the rows of
+			// pad past rem are still zero: code 0, scored and ignored.
+			w := 4 * groups
+			for r := 0; r < rem; r++ {
+				copy(pad[r*w:(r+1)*w], block[(nAsm+r)*codeBytes:])
 			}
-			if hwF16 {
-				s = f16.Round(s)
+			simd.ADCSums4(l.planes, l.Bias, pad[:], w, groups,
+				sums[nAsm:nAsm+scanKernelRows4], thresh, mask[nAsm/scanKernelRows4:nAsm/scanKernelRows4+1])
+		}
+		// The mask gates final scores only if the kernel's sums are
+		// final (no scalar tail, no f16 rounding) and the selector was
+		// full at block entry; otherwise every row is visited.
+		gated := full && !hasTail && !hwF16
+		for base := 0; base < n; base += scanKernelRows4 {
+			live := ^uint32(0)
+			if n-base < scanKernelRows4 {
+				live = 1<<(n-base) - 1
 			}
-			if full && s <= thresh {
-				continue
+			if gated {
+				live &= mask[base/scanKernelRows4]
 			}
-			sel.Push(ids[start+r], s)
-			thresh, full = sel.Threshold()
+			for ; live != 0; live &= live - 1 {
+				r := base + bits.TrailingZeros32(live)
+				s := sums[r]
+				if hasTail {
+					s = l.adcTail4(block[r*codeBytes:r*codeBytes+codeBytes], mAsm, s)
+				}
+				if hwF16 {
+					s = f16.Round(s)
+				}
+				if full && s <= thresh {
+					continue
+				}
+				thresh, full = offer(sel, dead, ids[start+r], s)
+			}
 		}
 	}
 }
@@ -220,7 +270,7 @@ func (l *LUT) adcTail4(row []byte, fromSub int, s float32) float32 {
 // scanADC8SIMD is the assembly-backed 8-bit list scan (k*=256 layout).
 // Structure mirrors scanADC4SIMD: the gather-free kernel covers the
 // first m&^7 sub-spaces of 8-row groups, the scalar tail the rest.
-func (l *LUT) scanADC8SIMD(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, hwF16 bool) {
+func (l *LUT) scanADC8SIMD(sel *topk.Selector, ids []int64, packed []byte, codeBytes int, hwF16 bool, dead map[int64]struct{}) {
 	m8 := l.M &^ 7
 	hasTail := m8 < l.M
 	var sums [scanBlockRows]float32
@@ -250,8 +300,7 @@ func (l *LUT) scanADC8SIMD(sel *topk.Selector, ids []int64, packed []byte, codeB
 			if full && s <= thresh {
 				continue
 			}
-			sel.Push(ids[start+r], s)
-			thresh, full = sel.Threshold()
+			thresh, full = offer(sel, dead, ids[start+r], s)
 		}
 	}
 }
@@ -264,38 +313,6 @@ func (l *LUT) adcTail8(row []byte, fromSub int, s float32) float32 {
 	off := fromSub * ks
 	for j := fromSub; j < l.M; j++ {
 		s += vals[off+int(row[j])]
-		off += ks
-	}
-	return s
-}
-
-// ADCPacked scores the single packed code starting at packed[0] without
-// unpacking, bit-identical to Unpack followed by ADC. It is the kernel
-// the tombstone-filtered scan path uses, where the gate over deleted IDs
-// precludes the straight-line list walk of ScanADC.
-func (l *LUT) ADCPacked(packed []byte, nibble bool) float32 {
-	vals := l.Values
-	ks := l.Ks
-	m := l.M
-	s := l.Bias
-	if nibble {
-		pairs := m / 2
-		off := 0
-		for j := 0; j < pairs; j++ {
-			b := packed[j]
-			s += vals[off+int(b&0x0F)]
-			off += ks
-			s += vals[off+int(b>>4)]
-			off += ks
-		}
-		if m&1 == 1 {
-			s += vals[off+int(packed[pairs]&0x0F)]
-		}
-		return s
-	}
-	off := 0
-	for j := 0; j < m; j++ {
-		s += vals[off+int(packed[j])]
 		off += ks
 	}
 	return s

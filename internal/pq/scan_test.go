@@ -53,6 +53,7 @@ func TestScanADCBitExact(t *testing.T) {
 					for i := range l.Values {
 						l.Values[i] = rng.Float32()*2 - 1
 					}
+					l.SyncPlanes()
 					l.Bias = rng.Float32()
 
 					fused := topk.NewSelector(10)
@@ -85,34 +86,6 @@ func TestScanADCBitExact(t *testing.T) {
 	}
 }
 
-// TestADCPackedBitExact checks the single-vector packed kernel used by
-// the tombstone-filtered scan path.
-func TestADCPackedBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, ks := range []int{16, 256} {
-		for _, m := range []int{7, 8, 32} {
-			q := fakeQuantizer(m, 2, ks, rng)
-			ids, packed := packRandomList(q, 50, rng)
-			l := NewLUT(q)
-			for i := range l.Values {
-				l.Values[i] = rng.Float32()
-			}
-			l.Bias = -0.5
-			codeBuf := make([]byte, q.M)
-			cb := q.CodeBytes()
-			nibble := q.CodeBits() == 4
-			for i := range ids {
-				q.Unpack(codeBuf, packed[i*cb:])
-				want := l.ADC(codeBuf)
-				got := l.ADCPacked(packed[i*cb:], nibble)
-				if got != want {
-					t.Fatalf("Ks=%d M=%d vec %d: ADCPacked %v, ADC %v", ks, m, i, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestScanADCThresholdGate verifies the pruning invariant directly at the
 // kernel level: a gated scan into a k-selector returns exactly the top-k
 // of an ungated scan that retains every score.
@@ -124,6 +97,7 @@ func TestScanADCThresholdGate(t *testing.T) {
 	for i := range l.Values {
 		l.Values[i] = rng.Float32()*4 - 2
 	}
+	l.SyncPlanes()
 	for _, k := range []int{1, 7, 100, 500, 600} {
 		gated := topk.NewSelector(k)
 		l.ScanADC(gated, ids, packed, q.CodeBytes(), true, false)
@@ -156,6 +130,7 @@ func benchScanADC(b *testing.B, ks, m int) {
 	for i := range l.Values {
 		l.Values[i] = rng.Float32()
 	}
+	l.SyncPlanes()
 	sel := topk.NewSelector(100)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -23,8 +23,12 @@ func fallbackReason() string {
 // so a caller that forgets to gate on Enabled() is still correct — just
 // not faster.
 
-func adcSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32) {
-	adcSums4Generic(planes, bias, packed, codeBytes, groups, sums)
+func adcSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32, thresh float32, mask []uint32) {
+	adcSums4Generic(planes, bias, packed, codeBytes, groups, sums, thresh, mask)
+}
+
+func fillLUT(vals []float32, planes []byte, cbT, q, c []float32, m, ks, dsub int, l2 bool) {
+	fillLUTGeneric(vals, planes, cbT, q, c, m, ks, dsub, l2)
 }
 
 func adcSums8(vals []float32, bias float32, packed []byte, codeBytes, m8 int, sums []float32) {

@@ -47,15 +47,26 @@ func BuildNibblePlanes(planes []byte, vals []float32, ks, nSub int) {
 // bit-identical to the scalar kernel in pq. nibble(r, s) is the low
 // (even s) or high (odd s) nibble of packed[r*codeBytes + s/2]; values
 // come from the plane table built by BuildNibblePlanes. len(sums) must
-// be a multiple of 16 and groups counts 4-byte code columns (8
+// be a multiple of 32 and groups counts 4-byte code columns (8
 // sub-spaces each).
-func ADCSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32) {
+//
+// It also gates the rows against thresh: bit r%32 of mask[r/32] is set
+// unless sums[r] <= thresh (so a NaN sum survives, as it does the
+// scalar `s <= thresh` skip test). len(mask) must be len(sums)/32. The
+// gate is on the partial sum, so it is a valid pre-filter of final
+// scores only when the kernel covers every sub-space and nothing
+// rounds the sum afterwards; callers that cannot promise that ignore
+// the mask.
+func ADCSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32, thresh float32, mask []uint32) {
 	n := len(sums)
 	if n == 0 {
 		return
 	}
-	if n%16 != 0 {
-		panic("simd: ADCSums4 row count not a multiple of 16")
+	if n%32 != 0 {
+		panic("simd: ADCSums4 row count not a multiple of 32")
+	}
+	if len(mask) != n/32 {
+		panic("simd: ADCSums4 mask length mismatch")
 	}
 	if groups <= 0 || 4*groups > codeBytes {
 		panic("simd: ADCSums4 groups out of range")
@@ -66,11 +77,14 @@ func ADCSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int,
 	if len(planes) < 8*groups*planeBytes {
 		panic("simd: ADCSums4 planes too short")
 	}
-	adcSums4(planes, bias, packed, codeBytes, groups, sums)
+	adcSums4(planes, bias, packed, codeBytes, groups, sums, thresh, mask)
 }
 
-func adcSums4Generic(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32) {
+func adcSums4Generic(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32, thresh float32, mask []uint32) {
 	nSub := 8 * groups
+	for i := range mask {
+		mask[i] = 0
+	}
 	for r := range sums {
 		row := packed[r*codeBytes:]
 		s := bias
@@ -90,6 +104,93 @@ func adcSums4Generic(planes []byte, bias float32, packed []byte, codeBytes, grou
 			s += math.Float32frombits(bits)
 		}
 		sums[r] = s
+		if !(s <= thresh) {
+			mask[r/32] |= 1 << (r % 32)
+		}
+	}
+}
+
+// fillBlock is the codeword granularity of FillLUT: one YMM pair.
+const fillBlock = 16
+
+// TransposeCodebooks returns the dimension-major copy of m codebooks of
+// ks codewords by dsub dimensions that FillLUT reads: element
+// (i*dsub+d)*ks+j is dimension d of codeword j of sub-space i, where
+// cb holds it at (i*ks+j)*dsub+d. Sixteen consecutive codewords of one
+// dimension are then one contiguous run — a lane-per-codeword load.
+func TransposeCodebooks(cb []float32, m, ks, dsub int) []float32 {
+	if len(cb) != m*ks*dsub {
+		panic("simd: TransposeCodebooks size mismatch")
+	}
+	t := make([]float32, len(cb))
+	for i := 0; i < m; i++ {
+		for j := 0; j < ks; j++ {
+			for d := 0; d < dsub; d++ {
+				t[(i*dsub+d)*ks+j] = cb[(i*ks+j)*dsub+d]
+			}
+		}
+	}
+	return t
+}
+
+// FillLUT builds the m lookup tables of one query against transposed
+// codebooks cbT (see TransposeCodebooks), ks entries each, into vals
+// (stride ks):
+//
+//	l2:  vals[i*ks+j] = -Σ_d ((q[i*dsub+d] - c[i*dsub+d]) - cbT[(i*dsub+d)*ks+j])²
+//	!l2: vals[i*ks+j] =  Σ_d q[i*dsub+d] * cbT[(i*dsub+d)*ks+j]
+//
+// c is the cluster centroid of an L2 residual query; nil means no
+// subtraction (and it must be nil for inner product). Each lane owns
+// one codeword and runs the sum from +0 in ascending d with separately
+// rounded subtract, multiply and add — no FMA — so every entry is
+// bit-identical to the sequential scalar loops -L2Sq(q-c, codeword)
+// and Dot(q, codeword). ks must be a multiple of 16.
+//
+// When planes is non-nil, ks must be 16 and planes receives the byte
+// planes of the finished tables, exactly as BuildNibblePlanes(planes,
+// vals, 16, m) would write them.
+func FillLUT(vals []float32, planes []byte, cbT, q, c []float32, m, ks, dsub int, l2 bool) {
+	if m <= 0 || dsub <= 0 || ks <= 0 || ks%fillBlock != 0 {
+		panic("simd: FillLUT shape out of range")
+	}
+	if len(vals) < m*ks || len(cbT) < m*ks*dsub || len(q) < m*dsub {
+		panic("simd: FillLUT buffer too small")
+	}
+	if c != nil && (!l2 || len(c) < m*dsub) {
+		panic("simd: FillLUT centroid needs l2 and m*dsub values")
+	}
+	if planes != nil && (ks != 16 || len(planes) < m*planeBytes) {
+		panic("simd: FillLUT planes need ks=16 and m*64 bytes")
+	}
+	fillLUT(vals, planes, cbT, q, c, m, ks, dsub, l2)
+}
+
+func fillLUTGeneric(vals []float32, planes []byte, cbT, q, c []float32, m, ks, dsub int, l2 bool) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < ks; j++ {
+			var s float32
+			for d := 0; d < dsub; d++ {
+				x := q[i*dsub+d]
+				if c != nil {
+					x -= c[i*dsub+d]
+				}
+				w := cbT[(i*dsub+d)*ks+j]
+				if l2 {
+					t := x - w
+					s += t * t
+				} else {
+					s += x * w
+				}
+			}
+			if l2 {
+				s = -s
+			}
+			vals[i*ks+j] = s
+		}
+	}
+	if planes != nil {
+		BuildNibblePlanes(planes, vals, ks, m)
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package simd holds the hand-written assembly kernels behind ANNA's two
-// hot loops — the ADC list scan on the serving path and the dot/argmin
-// primitives on the build path — together with the runtime CPU-feature
-// dispatch that decides, once at init, whether they may run at all.
+// Package simd holds the hand-written assembly kernels behind ANNA's
+// hot loops — LUT construction and the ADC list scan on the serving
+// path, the dot/argmin primitives on the build path — together with the
+// runtime CPU-feature dispatch that decides, once at init, whether they
+// may run at all.
 //
 // Design rules (see docs/ARCHITECTURE.md §"SIMD kernels"):
 //
@@ -11,11 +12,12 @@
 //     an implementation detail that must never change results beyond the
 //     documented tolerance class of the kernel.
 //
-//   - Bit-exact kernels (the ADC scan sums and the small-dimension argmin
-//     kernels) vectorize ACROSS vectors: each SIMD lane owns one vector
-//     and performs its float32 additions in exactly the scalar order, so
-//     the result is bit-identical to the reference for every input. No
-//     FMA, no reassociation.
+//   - Bit-exact kernels (the LUT fill, the ADC scan sums and the
+//     small-dimension argmin kernels) vectorize ACROSS vectors: each SIMD
+//     lane owns one vector (table entry, row, codeword) and performs its
+//     float32 operations in exactly the scalar order, so the result is
+//     bit-identical to the reference for every input. No FMA, no
+//     reassociation.
 //
 //   - Tolerance kernels (Dot, L2Sq) use FMA and an 8-lane split
 //     accumulator, which reassociates the reduction. They are NOT

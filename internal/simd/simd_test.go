@@ -1,6 +1,8 @@
 package simd
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,15 +91,41 @@ func TestBuildNibblePlanes(t *testing.T) {
 	}
 }
 
+// diffADCSums4 runs kernel and reference on one input and requires
+// identical sums (raw bits) and identical survivor masks.
+func diffADCSums4(t *testing.T, label string, planes []byte, bias float32, packed []byte, codeBytes, groups, n int, thresh float32) []float32 {
+	t.Helper()
+	want, wantMask := make([]float32, n), make([]uint32, n/32)
+	adcSums4Generic(planes, bias, packed, codeBytes, groups, want, thresh, wantMask)
+	got, gotMask := make([]float32, n), make([]uint32, n/32)
+	for i := range gotMask {
+		gotMask[i] = 0xdeadbeef // the kernel must overwrite, not OR into, the mask
+	}
+	ADCSums4(planes, bias, packed, codeBytes, groups, got, thresh, gotMask)
+	for r := range want {
+		if math.Float32bits(want[r]) != math.Float32bits(got[r]) {
+			t.Fatalf("%s row %d: asm %v (%#x) != ref %v (%#x)",
+				label, r, got[r], math.Float32bits(got[r]), want[r], math.Float32bits(want[r]))
+		}
+	}
+	for b := range wantMask {
+		if wantMask[b] != gotMask[b] {
+			t.Fatalf("%s rows %d..%d thresh %v: asm mask %#08x != ref %#08x",
+				label, 32*b, 32*b+31, thresh, gotMask[b], wantMask[b])
+		}
+	}
+	return want
+}
+
 func TestADCSums4Diff(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct {
 		n, codeBytes, groups, ks int
 	}{
-		{16, 4, 1, 16},
-		{16, 32, 8, 16},
+		{32, 4, 1, 16},
+		{32, 32, 8, 16},
 		{256, 32, 8, 16},
-		{48, 7, 1, 16},   // odd codeBytes: tail bytes ignored by the kernel
+		{64, 7, 1, 16},   // odd codeBytes: tail bytes ignored by the kernel
 		{160, 13, 3, 16}, // unaligned stride, partial coverage
 		{32, 32, 8, 9},   // ks < 16: upper plane entries are zero padding
 		{1024, 24, 6, 16},
@@ -105,19 +133,137 @@ func TestADCSums4Diff(t *testing.T) {
 		planes, _ := buildRandomLUT4(rng, 8*tc.groups, tc.ks)
 		packed := packRandom4(rng, tc.n, tc.codeBytes, tc.ks)
 		bias := float32(rng.NormFloat64())
+		label := fmt.Sprintf("%+v", tc)
+		sums := diffADCSums4(t, label, planes, bias, packed, tc.codeBytes, tc.groups, tc.n, 0)
+		// Gate edges: a threshold equal to an actual sum (<= must drop
+		// that row and keep the next larger one), both infinities, NaN.
+		for _, th := range []float32{sums[rng.Intn(tc.n)], float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.NaN())} {
+			diffADCSums4(t, label, planes, bias, packed, tc.codeBytes, tc.groups, tc.n, th)
+		}
+	}
+}
 
-		want := make([]float32, tc.n)
-		adcSums4Generic(planes, bias, packed, tc.codeBytes, tc.groups, want)
-		got := make([]float32, tc.n)
-		ADCSums4(planes, bias, packed, tc.codeBytes, tc.groups, got)
+// TestADCSums4MaskSemantics pins the gate itself against hand-built
+// sums rather than against the reference: a one-sub-space-per-row
+// table makes every sum a chosen constant.
+func TestADCSums4MaskSemantics(t *testing.T) {
+	nan := float32(math.NaN())
+	entries := []float32{-2, -1, 0, 1, 2, nan, float32(math.Inf(1)), float32(math.Inf(-1))}
+	vals := make([]float32, 8*16)
+	copy(vals, entries) // sub-space 0; sub-spaces 1..7 stay all-zero
+	planes := make([]byte, 8*planeBytes)
+	BuildNibblePlanes(planes, vals, 16, 8)
+	packed := make([]byte, 32*4)
+	for r := 0; r < 32; r++ {
+		packed[r*4] = byte(r % len(entries))
+	}
+	sums, mask := make([]float32, 32), make([]uint32, 1)
+	ADCSums4(planes, 0, packed, 4, 1, sums, 0, mask)
+	for r := 0; r < 32; r++ {
+		e := entries[r%len(entries)]
+		if math.Float32bits(sums[r]) != math.Float32bits(e+0) {
+			t.Fatalf("row %d: sum %v, want %v", r, sums[r], e)
+		}
+		if got, want := mask[0]>>r&1 == 1, !(e <= 0); got != want {
+			t.Fatalf("row %d (sum %v, thresh 0): survivor bit %v, want %v", r, e, got, want)
+		}
+	}
+}
 
-		for r := range want {
-			if math.Float32bits(want[r]) != math.Float32bits(got[r]) {
-				t.Fatalf("%+v row %d: asm %v (%#x) != ref %v (%#x)",
-					tc, r, got[r], math.Float32bits(got[r]), want[r], math.Float32bits(want[r]))
+// --- LUT fill ---
+
+// fillScalar is FillLUT's contract written against the ROW-major
+// codebook, as the sequential scalar loops pq falls back to compute it.
+func fillScalar(cb, q, c []float32, m, ks, dsub int, l2 bool) []float32 {
+	vals := make([]float32, m*ks)
+	for i := 0; i < m; i++ {
+		for j := 0; j < ks; j++ {
+			w := cb[(i*ks+j)*dsub : (i*ks+j+1)*dsub]
+			var s float32
+			for d, wd := range w {
+				x := q[i*dsub+d]
+				if c != nil {
+					x -= c[i*dsub+d]
+				}
+				if l2 {
+					t := x - wd
+					s += t * t
+				} else {
+					s += x * wd
+				}
+			}
+			if l2 {
+				s = -s
+			}
+			vals[i*ks+j] = s
+		}
+	}
+	return vals
+}
+
+// diffFillLUT runs FillLUT (assembly where available) against the
+// row-major scalar loops and, for ks=16, its planes against
+// BuildNibblePlanes of the reference values.
+func diffFillLUT(t *testing.T, cb, q, c []float32, m, ks, dsub int, l2 bool) {
+	t.Helper()
+	want := fillScalar(cb, q, c, m, ks, dsub, l2)
+	cbT := TransposeCodebooks(cb, m, ks, dsub)
+	got := make([]float32, m*ks)
+	var planes, wantPlanes []byte
+	if ks == 16 {
+		planes, wantPlanes = make([]byte, m*planeBytes), make([]byte, m*planeBytes)
+		BuildNibblePlanes(wantPlanes, want, ks, m)
+	}
+	FillLUT(got, planes, cbT, q, c, m, ks, dsub, l2)
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("m=%d ks=%d dsub=%d l2=%v resid=%v entry %d: kernel %v (%#x) != scalar %v (%#x)",
+				m, ks, dsub, l2, c != nil, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+	if !bytes.Equal(planes, wantPlanes) {
+		t.Fatalf("m=%d ks=%d dsub=%d l2=%v: planes differ from BuildNibblePlanes", m, ks, dsub, l2)
+	}
+}
+
+func TestFillLUTDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, ks := range []int{16, 32, 256} {
+		for _, dsub := range []int{1, 2, 3, 4, 8, 15, 16} {
+			for _, m := range []int{1, 3, 32} {
+				cb := randSlice(rng, m*ks*dsub, 1)
+				q := randSlice(rng, m*dsub, 1)
+				c := randSlice(rng, m*dsub, 1)
+				// Exact hits: a zero distance must come out as -0, and
+				// a -0 product must not survive the +0 start of Dot.
+				copy(q[:dsub], cb[:dsub])
+				if dsub == 1 {
+					cb[1] = float32(math.Copysign(0, -1))
+				}
+				diffFillLUT(t, cb, q, nil, m, ks, dsub, true)
+				diffFillLUT(t, cb, q, c, m, ks, dsub, true)
+				diffFillLUT(t, cb, q, nil, m, ks, dsub, false)
 			}
 		}
 	}
+}
+
+func TestFillLUTPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		fn()
+	}
+	ok := make([]float32, 64)
+	mustPanic("ks not a multiple of 16", func() { FillLUT(ok, nil, ok, ok, nil, 1, 8, 1, true) })
+	mustPanic("vals too short", func() { FillLUT(ok[:15], nil, ok, ok, nil, 1, 16, 1, true) })
+	mustPanic("centroid with inner product", func() { FillLUT(ok, nil, ok, ok, ok, 1, 16, 1, false) })
+	mustPanic("planes with ks=32", func() { FillLUT(ok, make([]byte, 64), ok, ok, nil, 1, 32, 1, true) })
+	mustPanic("transpose size", func() { TransposeCodebooks(ok, 1, 16, 3) })
 }
 
 // --- ADC 8-bit ---
@@ -372,7 +518,7 @@ func FuzzScanADCDiff(f *testing.F) {
 	f.Add(uint16(16), uint8(8), uint8(1), []byte{0x21, 0x43, 0x65, 0x87})
 	f.Add(uint16(64), uint8(13), uint8(3), []byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, nRaw uint16, cbRaw, gRaw uint8, seedBytes []byte) {
-		n := (int(nRaw)%512 + 16) &^ 15
+		n := (int(nRaw)%512 + 32) &^ 31
 		groups := int(gRaw)%8 + 1
 		codeBytes := 4*groups + int(cbRaw)%8
 		var seed int64
@@ -388,16 +534,11 @@ func FuzzScanADCDiff(f *testing.F) {
 		copy(packed, seedBytes)
 		bias := float32(rng.NormFloat64())
 
-		want := make([]float32, n)
-		adcSums4Generic(planes, bias, packed, codeBytes, groups, want)
-		got := make([]float32, n)
-		ADCSums4(planes, bias, packed, codeBytes, groups, got)
-		for r := range want {
-			if math.Float32bits(want[r]) != math.Float32bits(got[r]) {
-				t.Fatalf("row %d: asm %v != ref %v (n=%d codeBytes=%d groups=%d)",
-					r, got[r], want[r], n, codeBytes, groups)
-			}
-		}
+		// Sums are N(0, 8*groups)-ish around bias; a threshold drawn
+		// from the same spread splits the rows.
+		thresh := bias + float32(rng.NormFloat64())*float32(math.Sqrt(float64(8*groups)))
+		diffADCSums4(t, fmt.Sprintf("n=%d codeBytes=%d groups=%d", n, codeBytes, groups),
+			planes, bias, packed, codeBytes, groups, n, thresh)
 
 		// 8-bit kernel on the same packed block where it fits.
 		m8 := 8 * (int(gRaw)%4 + 1)
@@ -417,6 +558,41 @@ func FuzzScanADCDiff(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+func FuzzFillLUTDiff(f *testing.F) {
+	f.Add(uint8(31), uint8(1), uint8(0), int64(1), []byte{0, 0, 0x80, 0x3f})
+	f.Add(uint8(3), uint8(14), uint8(5), int64(7), []byte{0xff, 0xff, 0x7f, 0x7f, 0, 0, 0x80, 0xff})
+	f.Fuzz(func(t *testing.T, mRaw, dRaw, mode uint8, seed int64, raw []byte) {
+		m := int(mRaw)%40 + 1
+		dsub := int(dRaw)%16 + 1
+		ks := []int{16, 32, 256}[int(mode>>2)%3]
+		rng := rand.New(rand.NewSource(seed))
+		cb := randSlice(rng, m*ks*dsub, 4)
+		q := randSlice(rng, m*dsub, 4)
+		var c []float32
+		if mode&2 != 0 {
+			c = randSlice(rng, m*dsub, 4)
+		}
+		// Splice raw float bit patterns (infinities, NaNs, denormals,
+		// signed zeros) into codebook and query.
+		for i := 0; i+4 <= len(raw); i += 4 {
+			v := math.Float32frombits(uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24)
+			if v != v {
+				continue // NaN payload propagation is not part of the contract
+			}
+			if i%8 == 0 {
+				cb[(i/4)%len(cb)] = v
+			} else {
+				q[(i/4)%len(q)] = v
+			}
+		}
+		l2 := mode&1 != 0
+		if !l2 {
+			c = nil
+		}
+		diffFillLUT(t, cb, q, c, m, ks, dsub, l2)
 	})
 }
 
@@ -472,11 +648,23 @@ func BenchmarkADCSums4(b *testing.B) {
 	codeBytes := 4 * groups
 	planes, _ := buildRandomLUT4(rng, 8*groups, 16)
 	packed := packRandom4(rng, n, codeBytes, 16)
-	sums := make([]float32, n)
+	sums, mask := make([]float32, n), make([]uint32, n/32)
 	b.SetBytes(int64(n * codeBytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ADCSums4(planes, 0, packed, codeBytes, groups, sums)
+		ADCSums4(planes, 0, packed, codeBytes, groups, sums, 0, mask)
+	}
+}
+
+func BenchmarkFillLUT(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	const m, ks, dsub = 32, 16, 2
+	cbT := TransposeCodebooks(randSlice(rng, m*ks*dsub, 1), m, ks, dsub)
+	q, c := randSlice(rng, m*dsub, 1), randSlice(rng, m*dsub, 1)
+	vals, planes := make([]float32, m*ks), make([]byte, m*planeBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FillLUT(vals, planes, cbT, q, c, m, ks, dsub, true)
 	}
 }
 

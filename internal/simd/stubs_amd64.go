@@ -13,7 +13,10 @@ func dotAsm(a, b *float32, n int) float32
 func l2sqAsm(a, b *float32, n int) float32
 
 //go:noescape
-func adcSums4Asm(planes *byte, packed *byte, codeBytes, groups int, sums *float32, n16 int, bias float32)
+func adcSums4Asm(planes *byte, packed *byte, codeBytes, groups int, sums *float32, n32 int, bias, thresh float32, mask *uint32)
+
+//go:noescape
+func fillLUTAsm(vals *float32, planes *byte, cbT, q, c *float32, m, ks, dsub int, l2 bool)
 
 //go:noescape
 func adcSums8Asm(vals *float32, packed *byte, codeBytes, m8 int, sums *float32, n8 int, bias float32)
@@ -45,12 +48,28 @@ func l2sqKernel(a, b []float32) float32 {
 	return l2sqGeneric(a, b)
 }
 
-func adcSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32) {
+func adcSums4(planes []byte, bias float32, packed []byte, codeBytes, groups int, sums []float32, thresh float32, mask []uint32) {
 	if available {
-		adcSums4Asm(&planes[0], &packed[0], codeBytes, groups, &sums[0], len(sums), bias)
+		adcSums4Asm(&planes[0], &packed[0], codeBytes, groups, &sums[0], len(sums), bias, thresh, &mask[0])
 		return
 	}
-	adcSums4Generic(planes, bias, packed, codeBytes, groups, sums)
+	adcSums4Generic(planes, bias, packed, codeBytes, groups, sums, thresh, mask)
+}
+
+func fillLUT(vals []float32, planes []byte, cbT, q, c []float32, m, ks, dsub int, l2 bool) {
+	if !available {
+		fillLUTGeneric(vals, planes, cbT, q, c, m, ks, dsub, l2)
+		return
+	}
+	var pp *byte
+	if planes != nil {
+		pp = &planes[0]
+	}
+	var cp *float32
+	if c != nil {
+		cp = &c[0]
+	}
+	fillLUTAsm(&vals[0], pp, &cbT[0], &q[0], cp, m, ks, dsub, l2)
 }
 
 func adcSums8(vals []float32, bias float32, packed []byte, codeBytes, m8 int, sums []float32) {

@@ -2,8 +2,9 @@
 # except `make lint`, which fetches its pinned analyzer (see below).
 
 GO ?= go
+PAIRS ?= 10
 
-.PHONY: all build test test-noasm bench-test race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
+.PHONY: all build test test-noasm bench-test bench-ab race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
 
 all: build vet test
 
@@ -24,6 +25,13 @@ test-noasm:
 # module, so the root `go test ./...` never enters it; this does.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Interleaved A/B of the repository benchmark against a base commit:
+# `make bench-ab BASE=HEAD~1 [WORKLOADS="serve_unique serve_zipf"] [PAIRS=10]`
+# (scripts/bench_ab.sh: base in a git worktree, alternating base/head
+# pairs, then `bench/run.sh compare`).
+bench-ab:
+	PAIRS=$(PAIRS) bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
 
 race:
 	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .

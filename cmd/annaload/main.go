@@ -93,8 +93,8 @@ type output struct {
 	SaturationSpeedup *float64 `json:"saturation_speedup,omitempty"`
 	// P99SpeedupAtPeak compares p99 latency at the highest load level
 	// (baseline/batched; >1 means batching lowers tail latency under
-	// pressure — at light load coalescing intentionally trades a little
-	// latency for throughput, so the comparison is only fair at load).
+	// pressure — the batcher only coalesces once every engine slot is
+	// busy, so load is where the two configs differ).
 	P99SpeedupAtPeak *float64 `json:"p99_speedup_at_peak,omitempty"`
 	// AdaptiveSpeedup compares the adaptive curve's saturation QPS to
 	// the baseline's (both direct serving, no batcher or cache; >1 means
@@ -383,7 +383,7 @@ func main() {
 		clusters    = flag.Int("clusters", 64, "self-host: coarse clusters")
 		w           = flag.Int("w", 32, "clusters inspected per query")
 		k           = flag.Int("k", 10, "results per query")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "self-host: coalescing window of the batched config")
+		batchWindow = flag.Duration("batch-window", time.Millisecond, "self-host: deprecated, the duration is ignored; negative disables the batcher of the batched config")
 		cacheSize   = flag.Int("cache", 4096, "self-host: result-cache entries of the batched config")
 		noBaseline  = flag.Bool("no-baseline", false, "self-host: skip the unbatched/uncached baseline curve")
 		adaptiveOn  = flag.Bool("adaptive", false, "self-host: also sweep an adaptive-effort config (early termination, batcher and cache disabled) against the baseline")

@@ -31,15 +31,18 @@
 // requests for up to -grace after SIGINT/SIGTERM before exiting (with a
 // final snapshot when -data is set).
 //
-// Serving-path performance: concurrent single-query /search requests
-// are coalesced for up to -batch-window into shared engine batches
-// (bit-exact; -batch-max caps the batch size), repeated queries are
+// Serving-path performance: a single-query /search runs at once while
+// one of the -batch-concurrent engine slots is free; requests that
+// arrive while all are busy are coalesced by the next slot to free into
+// a shared engine batch (bit-exact; -batch-max caps the batch size;
+// -batch-window is deprecated and only switches the batcher off when
+// negative), repeated queries are
 // answered from a quantized-query result cache of -cache entries
 // (invalidated by /add), and -tenants assigns per-API-key QoS — weights,
 // token-bucket rate limits, and interactive/bulk lanes:
 //
 //	annaserve -index sift.anna \
-//	  -batch-window 1ms -cache 8192 \
+//	  -batch-max 64 -cache 8192 \
 //	  -tenants "web=weight:4,lane:interactive;etl=rate:500,burst:1000,lane:bulk"
 //
 // Observability (docs/ARCHITECTURE.md §4k): logs are structured (-log
@@ -167,9 +170,9 @@ func main() {
 		slowQuery   = flag.Duration("slow", 250*time.Millisecond, "log /search requests slower than this (negative = never)")
 		traceSample = flag.Int("trace-sample", 64, "trace 1-in-N untagged queries into /debug/queries (negative = only X-Request-ID-tagged queries)")
 		traceRing   = flag.Int("trace-ring", 256, "recent traces buffered for /debug/queries")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "coalesce concurrent single-query searches for up to this long into one engine batch (negative = disabled)")
-		batchMax    = flag.Int("batch-max", 64, "flush a coalesced batch early at this many queries")
-		batchConc   = flag.Int("batch-concurrent", 0, "concurrent coalesced engine batches (0 = GOMAXPROCS)")
+		batchWindow = flag.Duration("batch-window", time.Millisecond, "deprecated: the batcher no longer holds queries for a window, the duration is ignored; negative disables coalescing of single-query searches that find every engine slot busy")
+		batchMax    = flag.Int("batch-max", 64, "most queries a freed engine slot takes from the backlog as one coalesced batch")
+		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: coalesced batches executing at once (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache", 4096, "quantized-query result-cache entries (negative = disabled)")
 		tenantsSpec = flag.String("tenants", "", `per-tenant QoS: "key=weight:4,rate:1000,burst:2000,lane:interactive,name:web;key2=lane:bulk" (empty = one default tenant)`)
 		recallFvecs = flag.String("recall-fvecs", "", "fvecs reference corpus for live shadow recall estimation (empty = disabled)")

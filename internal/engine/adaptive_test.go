@@ -19,7 +19,7 @@ func TestAdaptiveInfinitePatienceMatchesFixed(t *testing.T) {
 		fixed := e.Run(ds.Queries, Options{Mode: QueryAtATime, W: 10, K: 10})
 		adapt := e.Run(ds.Queries, Options{Mode: QueryAtATime, W: 10, K: 10,
 			Adaptive: adaptive.Params{StopPatience: idx.NClusters() + 1, MinClusters: 1}})
-		scoresEqual(t, metric.String()+" adaptive-infinite-patience", fixed.Results, adapt.Results)
+		resultsEqual(t, metric.String()+" adaptive-infinite-patience", fixed.Results, adapt.Results)
 		if adapt.ClustersScanned != fixed.ClustersScanned {
 			t.Fatalf("%v: clusters scanned %d vs fixed %d", metric, adapt.ClustersScanned, fixed.ClustersScanned)
 		}

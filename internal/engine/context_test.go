@@ -56,7 +56,7 @@ func TestRunAfterCancelledRun(t *testing.T) {
 		rep := e.Run(ds.Queries, Options{Mode: mode, W: 6, K: 10})
 		// Cluster-major tie order depends on worker scheduling, so (like
 		// the reference-equality tests) compare scores, not IDs.
-		scoresEqual(t, mode.String()+" after cancel", rep.Results, want)
+		resultsEqual(t, mode.String()+" after cancel", rep.Results, want)
 	}
 }
 

@@ -93,7 +93,7 @@ func (x *Index) RebiasLUTFromScore(l *pq.LUT, score float32, hwF16 bool) {
 
 // ScanListADC is the fused version of ScanList (search step 3): it walks
 // cluster c's packed codes directly — no per-vector Unpack — and offers a
-// candidate to sel only when its score beats the selector's current
+// candidate to sel only when its score reaches the selector's current
 // threshold. Tombstones do not change the path: every row goes through
 // the same kernel and only threshold survivors are checked against the
 // deleted set. Results are bit-identical to ScanList for both metrics,

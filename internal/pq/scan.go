@@ -7,14 +7,15 @@ package pq
 // per scanned vector; the kernels below walk the packed bytes directly
 // with specialized inner loops for the two layouts ANNA supports (8-bit
 // identifiers for k*=256, packed nibbles for k*=16), 4-way unrolled, and
-// only touch the top-k selector when a score beats its current threshold.
+// only touch the top-k selector when a score reaches its current threshold.
 //
 // Accumulation order is IDENTICAL to LUT.ADC (bias first, then sub-space
 // 0..M-1, one sequential float32 add each), so the kernels are bit-exact
 // against the reference in both the float32 and the HWF16 (round final
 // sum to binary16) modes. The threshold gate only skips Push calls that
-// Push itself would reject (score <= heap minimum when full), so selector
-// contents are also bit-identical.
+// Push itself would reject (score < heap minimum when full; a tie goes
+// to Push, which settles it by ID), so selector contents are also
+// bit-identical.
 
 import (
 	"math/bits"
@@ -124,7 +125,7 @@ func (l *LUT) ScanADCSkip(sel *topk.Selector, ids []int64, packed []byte, codeBy
 			if hwF16 {
 				s = f16.Round(s)
 			}
-			if full && s <= thresh {
+			if full && s < thresh {
 				continue
 			}
 			thresh, full = offer(sel, dead, id, s)
@@ -154,7 +155,7 @@ func (l *LUT) ScanADCSkip(sel *topk.Selector, ids []int64, packed []byte, codeBy
 		if hwF16 {
 			s = f16.Round(s)
 		}
-		if full && s <= thresh {
+		if full && s < thresh {
 			continue
 		}
 		thresh, full = offer(sel, dead, id, s)
@@ -236,7 +237,7 @@ func (l *LUT) scanADC4SIMD(sel *topk.Selector, ids []int64, packed []byte, codeB
 				if hwF16 {
 					s = f16.Round(s)
 				}
-				if full && s <= thresh {
+				if full && s < thresh {
 					continue
 				}
 				thresh, full = offer(sel, dead, ids[start+r], s)
@@ -297,7 +298,7 @@ func (l *LUT) scanADC8SIMD(sel *topk.Selector, ids []int64, packed []byte, codeB
 			if hwF16 {
 				s = f16.Round(s)
 			}
-			if full && s <= thresh {
+			if full && s < thresh {
 				continue
 			}
 			thresh, full = offer(sel, dead, ids[start+r], s)

@@ -86,8 +86,9 @@ func rowScoreList(scores []int) (*LUT, []int64, []byte) {
 // the threshold at block entry; with ascending scores every row beats
 // that stale value AND raises the live one, so the Go side must re-check
 // each survivor against the moving threshold (a row equal to the live
-// minimum must be dropped even though its mask bit is set). Descending
-// and shuffled orders cover the mask actually pruning. Tombstones ride
+// minimum still reaches the selector, which settles the tie by ID).
+// Descending and shuffled orders cover the mask actually pruning,
+// plateaus the ties. Tombstones ride
 // along: they must cost only the rows that pass the gate and change
 // nothing else.
 func TestScanADCMaskStaleThreshold(t *testing.T) {
@@ -100,11 +101,18 @@ func TestScanADCMaskStaleThreshold(t *testing.T) {
 	for i := 0; i < n; i++ {
 		orders["ascending"][i] = i % 256
 		orders["descending"][i] = 255 - i%256
-		orders["plateaus"][i] = i / 3 % 256 // runs of equal scores: `<=` must drop the repeats
+		orders["plateaus"][i] = i / 3 % 256 // runs of equal scores: ties at the cut-off go to the smaller ID
 		orders["shuffled"][i] = rng.Intn(256)
 	}
 	for name, scores := range orders {
 		l, ids, packed := rowScoreList(scores)
+		if name == "plateaus" {
+			// Descending IDs: each repeat of the cut-off score carries a
+			// smaller ID than the one retained, so no gate may drop it.
+			for i := range ids {
+				ids[i] = int64(n - 1 - i)
+			}
+		}
 		dead := map[int64]struct{}{}
 		for i := 0; i < n; i += 7 {
 			dead[ids[i]] = struct{}{}

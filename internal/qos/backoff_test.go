@@ -1,8 +1,6 @@
 package qos
 
 import (
-	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -55,56 +53,5 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("300 draws hit only %v — jitter broken", seen)
-	}
-}
-
-// Drain must not return while a flush is still executing: the whole
-// point is that the engine under the batcher is safe to tear down after.
-func TestBatcherDrainWaitsForInflight(t *testing.T) {
-	release := make(chan struct{})
-	var inflight, done atomic.Int32
-	run := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
-		inflight.Add(1)
-		<-release
-		done.Add(1)
-		return make([]float32, len(queries)), nil
-	}
-	b := NewBatcher(run, BatcherOptions{Window: time.Millisecond, MaxBatch: 4})
-	results := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 4, 8)
-			results <- err
-		}()
-	}
-	// Wait until at least one flush is executing or queued.
-	deadline := time.Now().Add(2 * time.Second)
-	for inflight.Load() == 0 && b.QueueDepth() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	drained := make(chan struct{})
-	go func() { b.Drain(); close(drained) }()
-	select {
-	case <-drained:
-		t.Fatal("Drain returned while a batch was still blocked in run")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-drained:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Drain did not return after batches completed")
-	}
-	for i := 0; i < 3; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if done.Load() == 0 {
-		t.Fatal("no batch executed")
-	}
-	if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 4, 8); err != ErrClosed {
-		t.Fatalf("Submit after Drain: %v, want ErrClosed", err)
 	}
 }

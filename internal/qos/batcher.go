@@ -7,12 +7,13 @@
 // The motivation is the paper's Figure 5: the engine is fastest in
 // cluster-major mode because inverted-list loads are amortized across a
 // batch of queries, but an HTTP server naturally dispatches a batch of
-// one per request. The Batcher restores the batch: concurrent requests
-// are held for a bounded coalesce window (flushing early at a maximum
-// batch size) and executed as a single engine run, with results fanned
-// back to the waiting requests. Execution remains per-query independent
-// inside the engine, so coalescing is bit-exact with per-request
-// serving.
+// one per request. The Batcher restores the batch without ever idling
+// the engine to let one fill: a request that finds a free engine slot
+// runs at once, requests that arrive while every slot is busy park, and
+// a completing batch takes the backlog (up to a maximum batch size) as
+// its slot's next engine run, with results fanned back to the waiting
+// requests. Execution remains per-query independent inside the engine,
+// so coalescing is bit-exact with per-request serving.
 //
 // The package is deliberately engine-agnostic — the Batcher is generic
 // over the per-query result type and calls back into a RunFunc — so it
@@ -24,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +67,7 @@ func ParseLane(s string) (Lane, error) {
 
 // RunFunc executes one coalesced batch: queries[i] produces results[i].
 // It is called outside the batcher's lock and may run concurrently with
-// other flushes. ctx is canceled when every request in the batch has
+// other batches. ctx is canceled when every request in the batch has
 // abandoned (client disconnects), and carries the latest deadline of
 // the batch members when all of them have one.
 type RunFunc[R any] func(ctx context.Context, queries [][]float32, w, k int) ([]R, error)
@@ -74,8 +76,9 @@ type RunFunc[R any] func(ctx context.Context, queries [][]float32, w, k int) ([]
 type BatchInfo struct {
 	// Size is the number of queries in the executed engine batch.
 	Size int
-	// Wait is the time the request spent coalescing before execution
-	// started.
+	// Wait is the time the request spent queued behind busy engine
+	// slots before its batch started: scheduling noise when a slot was
+	// free, the saturation signal when none was.
 	Wait time.Duration
 }
 
@@ -83,24 +86,22 @@ type BatchInfo struct {
 // for concurrent use; nil fields are skipped.
 type Observer struct {
 	// Flush is called once per executed batch with its size and the
-	// queue depth left behind.
+	// queue depth its class left behind.
 	Flush func(size, remaining int)
-	// Wait is called once per coalesced query with its coalesce wait.
+	// Wait is called once per executed query with its BatchInfo.Wait.
 	Wait func(d time.Duration)
 }
 
 // BatcherOptions configure a Batcher.
 type BatcherOptions struct {
-	// Window bounds how long a request may be held for coalescing
-	// (default 1ms).
-	Window time.Duration
-	// MaxBatch flushes a forming batch early once it holds this many
-	// queries (default 64).
+	// MaxBatch caps the queries one engine batch takes from the backlog
+	// (default 64).
 	MaxBatch int
-	// MaxConcurrent bounds the number of batches executing at once
-	// (0 = unlimited). Bounding it is what gives the priority lanes
-	// teeth under overload: excess demand backs up in the batcher's
-	// queues — where interactive requests jump ahead of bulk — instead
+	// MaxConcurrent is the number of engine slots: batches executing at
+	// once (default runtime.GOMAXPROCS(0)). The bound is what makes
+	// queries coalesce and gives the priority lanes teeth: demand beyond
+	// it backs up in the batcher's queues — where interactive requests
+	// jump ahead of bulk and a freed slot takes a whole batch — instead
 	// of racing into the engine in arrival order.
 	MaxConcurrent int
 	// Observer receives flush/wait events for metrics.
@@ -110,19 +111,20 @@ type BatcherOptions struct {
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("qos: batcher closed")
 
-// outcome is what a flush delivers to one waiting request.
+// outcome is what a batch delivers to one waiting request.
 type outcome[R any] struct {
 	res  R
 	info BatchInfo
 	err  error
 }
 
-// waiter is one request parked in the batcher.
+// waiter is one request in the batcher.
 type waiter[R any] struct {
 	ctx   context.Context
 	query []float32
 	enq   time.Time
-	ch    chan outcome[R] // buffered(1): a flush never blocks on delivery
+	seq   uint64          // parking order; decides which class a freed slot serves
+	ch    chan outcome[R] // buffered(1): a batch never blocks on delivery
 }
 
 // tenantQ is one tenant's FIFO within a lane.
@@ -182,58 +184,77 @@ func (l *laneQ[R]) dequeue(dst []*waiter[R], max int) []*waiter[R] {
 	return dst
 }
 
-// class groups waiters that can share one engine batch: a batch has a
-// single (W, K), so requests with different knobs coalesce separately.
+// class groups parked waiters that can share one engine batch: a batch
+// has a single (W, K), so requests with different knobs coalesce
+// separately. A class lives in Batcher.classes only while it is
+// non-empty.
 type class[R any] struct {
-	w, k     int
-	lanes    [2]laneQ[R] // [Interactive, Bulk]
-	timer    *time.Timer
-	timerGen uint64 // invalidates timers whose flush was taken over
+	w, k  int
+	lanes [2]laneQ[R] // [Interactive, Bulk]
 }
 
 func (c *class[R]) queued() int { return c.lanes[0].n + c.lanes[1].n }
 
+// head returns the waiter assemble would dequeue first.
+func (c *class[R]) head() *waiter[R] {
+	l := &c.lanes[0]
+	if l.n == 0 {
+		l = &c.lanes[1]
+	}
+	return l.order[l.rr%len(l.order)].q[0]
+}
+
+// batch is one engine run: waiters of a single class.
+type batch[R any] struct {
+	w, k      int
+	waiters   []*waiter[R]
+	remaining int // waiters the class still holds, for Observer.Flush
+}
+
 // Batcher coalesces concurrent single-query submissions into bounded
-// engine batches. It is safe for concurrent use.
+// engine batches. It is work-conserving: a query waits only while every
+// slot is executing, so the invariant under mu is
+//
+//	queuedN > 0  ⇒  running == maxConc
+//
+// and a slot finishing its batch is the only event that drains the
+// backlog. Batches are therefore size 1 on an idle server and grow
+// toward MaxBatch as load saturates the slots — which is when
+// amortising cluster selection and list loads across a batch pays.
+// Safe for concurrent use.
 type Batcher[R any] struct {
 	run      RunFunc[R]
-	window   time.Duration
 	maxBatch int
 	maxConc  int
 	obs      Observer
 
 	mu      sync.Mutex
-	classes map[[2]int]*class[R]
+	classes map[[2]int]*class[R] // (W, K) → parked waiters; non-empty classes only
 	queuedN int
-	running int
+	seq     uint64 // last waiter.seq handed out
+	running int    // slots executing a batch
 	closed  bool
-	flushWG sync.WaitGroup // one unit per flush goroutine; Drain waits on it
+	slotWG  sync.WaitGroup // one unit per occupied slot; Drain waits on it
 }
 
-// NewBatcher returns a batcher that executes flushes through run.
+// NewBatcher returns a batcher that executes batches through run.
 func NewBatcher[R any](run RunFunc[R], opt BatcherOptions) *Batcher[R] {
 	if run == nil {
 		panic("qos: NewBatcher requires a RunFunc")
 	}
-	if opt.Window <= 0 {
-		opt.Window = time.Millisecond
-	}
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 64
 	}
+	if opt.MaxConcurrent <= 0 {
+		opt.MaxConcurrent = runtime.GOMAXPROCS(0)
+	}
 	return &Batcher[R]{
 		run:      run,
-		window:   opt.Window,
 		maxBatch: opt.MaxBatch,
 		maxConc:  opt.MaxConcurrent,
 		obs:      opt.Observer,
 		classes:  map[[2]int]*class[R]{},
 	}
-}
-
-// canRun reports whether another batch may start. Caller holds b.mu.
-func (b *Batcher[R]) canRun() bool {
-	return b.maxConc <= 0 || b.running < b.maxConc
 }
 
 // QueueDepth returns the number of queries parked in the batcher (not
@@ -244,11 +265,12 @@ func (b *Batcher[R]) QueueDepth() int {
 	return b.queuedN
 }
 
-// Submit parks one query for coalescing and blocks until its batch has
-// executed (at most Window plus the engine batch time, sooner when the
-// batch fills) or ctx is done. The query slice is copied, so the caller
-// may recycle its buffer as soon as Submit returns — even on
-// cancellation, when the batch may still execute afterwards.
+// Submit executes one query and blocks until its batch has run or ctx
+// is done. With a slot free the query starts at once as a batch of one;
+// otherwise it parks until a completing batch hands its slot over. The
+// query slice is copied, so the caller may recycle its buffer as soon
+// as Submit returns — even on cancellation, when the batch may still
+// execute afterwards.
 func (b *Batcher[R]) Submit(ctx context.Context, tenant string, lane Lane, weight int, query []float32, w, k int) (R, BatchInfo, error) {
 	var zero R
 	wt := &waiter[R]{
@@ -262,37 +284,28 @@ func (b *Batcher[R]) Submit(ctx context.Context, tenant string, lane Lane, weigh
 		b.mu.Unlock()
 		return zero, BatchInfo{}, ErrClosed
 	}
-	ck := [2]int{w, k}
-	c := b.classes[ck]
-	if c == nil {
-		c = &class[R]{w: w, k: k}
-		b.classes[ck] = c
-	}
-	li := 0
-	if lane == Bulk {
-		li = 1
-	}
-	c.lanes[li].enqueue(tenant, weight, wt)
-	b.queuedN++
-	if c.queued() >= b.maxBatch && b.canRun() {
-		// Flush early: take over any pending timer and run now.
-		c.timerGen++
-		if c.timer != nil {
-			c.timer.Stop()
-			c.timer = nil
-		}
-		batch, remaining := b.assemble(c)
+	if b.running < b.maxConc {
+		// A free slot means nothing is parked (the invariant), so this
+		// query is the whole batch.
 		b.running++
-		b.flushWG.Add(1)
+		b.slotWG.Add(1)
 		b.mu.Unlock()
-		go b.executeAndNext(c, batch, remaining)
+		go b.runSlot(batch[R]{w: w, k: k, waiters: []*waiter[R]{wt}})
 	} else {
-		// Below the size trigger — or at the concurrency limit, in which
-		// case a completing batch will flush the backlog. The timer is
-		// still armed so an idle-but-bounded wait holds either way.
-		if c.timer == nil {
-			b.armTimer(c, b.window)
+		ck := [2]int{w, k}
+		c := b.classes[ck]
+		if c == nil {
+			c = &class[R]{w: w, k: k}
+			b.classes[ck] = c
 		}
+		li := 0
+		if lane == Bulk {
+			li = 1
+		}
+		b.seq++
+		wt.seq = b.seq
+		c.lanes[li].enqueue(tenant, weight, wt)
+		b.queuedN++
 		b.mu.Unlock()
 	}
 
@@ -307,60 +320,62 @@ func (b *Batcher[R]) Submit(ctx context.Context, tenant string, lane Lane, weigh
 	}
 }
 
-// armTimer schedules a flush for c after d. Caller holds b.mu.
-func (b *Batcher[R]) armTimer(c *class[R], d time.Duration) {
-	c.timerGen++
-	gen := c.timerGen
-	c.timer = time.AfterFunc(d, func() {
+// runSlot executes bt in the slot its caller claimed, then keeps the
+// slot for as long as there is a backlog: each pass takes the next
+// batch from the class that has waited longest. The slot is released
+// only once nothing is parked, which is what maintains the invariant.
+func (b *Batcher[R]) runSlot(bt batch[R]) {
+	defer b.slotWG.Done()
+	for {
+		b.execute(bt)
 		b.mu.Lock()
-		if c.timerGen != gen {
-			// A size-triggered flush (or Close) took these waiters.
+		c := b.nextClass()
+		if c == nil {
+			b.running--
 			b.mu.Unlock()
 			return
 		}
-		c.timer = nil
-		if !b.canRun() {
-			// At the concurrency limit: leave the waiters queued. Every
-			// batch completion rescans the queues, and with the timer now
-			// nil the next completion flushes this class immediately.
-			b.mu.Unlock()
-			return
-		}
-		batch, remaining := b.assemble(c)
-		b.running++
-		b.flushWG.Add(1)
+		bt = b.assemble(c)
 		b.mu.Unlock()
-		b.executeAndNext(c, batch, remaining)
-	})
+	}
+}
+
+// nextClass picks the class a freed slot serves: the one whose head
+// waiter parked first, nil when nothing is parked. Ordering by the head
+// rather than by map iteration makes hand-off deterministic, and no
+// class starves: only the finitely many waiters parked before a class's
+// head can be served ahead of it. Caller holds b.mu.
+func (b *Batcher[R]) nextClass() *class[R] {
+	var next *class[R]
+	for _, c := range b.classes {
+		if next == nil || c.head().seq < next.head().seq {
+			next = c
+		}
+	}
+	return next
 }
 
 // assemble removes up to maxBatch waiters from c — interactive lane
-// first, then bulk, each weighted-fair across tenants — and re-arms an
-// immediate flush when a backlog remains. Caller holds b.mu.
-func (b *Batcher[R]) assemble(c *class[R]) (batch []*waiter[R], remaining int) {
-	n := c.queued()
-	if n > b.maxBatch {
-		n = b.maxBatch
+// first, then bulk, each weighted-fair across tenants. Caller holds
+// b.mu.
+func (b *Batcher[R]) assemble(c *class[R]) batch[R] {
+	ws := make([]*waiter[R], 0, min(c.queued(), b.maxBatch))
+	ws = c.lanes[0].dequeue(ws, b.maxBatch)
+	ws = c.lanes[1].dequeue(ws, b.maxBatch)
+	b.queuedN -= len(ws)
+	remaining := c.queued()
+	if remaining == 0 {
+		delete(b.classes, [2]int{c.w, c.k})
 	}
-	batch = make([]*waiter[R], 0, n)
-	batch = c.lanes[0].dequeue(batch, b.maxBatch)
-	batch = c.lanes[1].dequeue(batch, b.maxBatch)
-	b.queuedN -= len(batch)
-	remaining = c.queued()
-	if remaining > 0 && c.timer == nil {
-		// Backlog past MaxBatch: flush again as soon as possible rather
-		// than making the leftovers wait another full window.
-		b.armTimer(c, 0)
-	}
-	return batch, remaining
+	return batch[R]{w: c.w, k: c.k, waiters: ws, remaining: remaining}
 }
 
-// execute runs one assembled batch and fans results back out.
-func (b *Batcher[R]) execute(c *class[R], batch []*waiter[R], remaining int) {
-	// Skip waiters that gave up while queued; their Submit has already
+// execute runs one batch and fans results back out.
+func (b *Batcher[R]) execute(bt batch[R]) {
+	// Skip waiters that gave up while parked; their Submit has already
 	// returned ctx.Err().
-	live := batch[:0]
-	for _, w := range batch {
+	live := bt.waiters[:0]
+	for _, w := range bt.waiters {
 		if w.ctx.Err() == nil {
 			live = append(live, w)
 		}
@@ -369,7 +384,7 @@ func (b *Batcher[R]) execute(c *class[R], batch []*waiter[R], remaining int) {
 		return
 	}
 	if b.obs.Flush != nil {
-		b.obs.Flush(len(live), remaining)
+		b.obs.Flush(len(live), bt.remaining)
 	}
 	queries := make([][]float32, len(live))
 	for i, w := range live {
@@ -410,7 +425,7 @@ func (b *Batcher[R]) execute(c *class[R], batch []*waiter[R], remaining int) {
 	}
 
 	start := time.Now()
-	res, err := b.run(bctx, queries, c.w, c.k)
+	res, err := b.run(bctx, queries, bt.w, bt.k)
 	for _, stop := range stops {
 		stop()
 	}
@@ -431,83 +446,21 @@ func (b *Batcher[R]) execute(c *class[R], batch []*waiter[R], remaining int) {
 	}
 }
 
-// executeAndNext runs one batch that holds a concurrency slot, then
-// hands the slot to queued work: any class with a full batch waiting,
-// or whose window already expired while the batcher was at the limit
-// (timer nil but waiters queued), is flushed immediately rather than
-// waiting another window. Under-full classes with a live timer keep
-// coalescing until it fires.
-func (b *Batcher[R]) executeAndNext(c *class[R], batch []*waiter[R], remaining int) {
-	defer b.flushWG.Done()
-	b.execute(c, batch, remaining)
-	b.mu.Lock()
-	b.running--
-	if !b.closed {
-		for _, cc := range b.classes {
-			if !b.canRun() {
-				break
-			}
-			if cc.queued() == 0 || (cc.queued() < b.maxBatch && cc.timer != nil) {
-				continue
-			}
-			cc.timerGen++
-			if cc.timer != nil {
-				cc.timer.Stop()
-				cc.timer = nil
-			}
-			next, rem := b.assemble(cc)
-			b.running++
-			b.flushWG.Add(1)
-			go b.executeAndNext(cc, next, rem)
-		}
-	}
-	b.mu.Unlock()
-}
-
-// Close flushes every queued request and fails subsequent Submits with
-// ErrClosed. It does not wait for in-flight batches.
+// Close fails subsequent Submits with ErrClosed. Parked requests are
+// still served: by the invariant every slot is busy while any are
+// parked, and the slots keep draining the backlog as they finish. It
+// does not wait for them.
 func (b *Batcher[R]) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	type flush[R2 any] struct {
-		c         *class[R2]
-		batch     []*waiter[R2]
-		remaining int
-	}
-	var flushes []flush[R]
-	for _, c := range b.classes {
-		for c.queued() > 0 {
-			batch, remaining := b.assemble(c)
-			flushes = append(flushes, flush[R]{c, batch, remaining})
-		}
-		// Invalidate any timer (pre-existing or re-armed by assemble)
-		// now that the queues are drained.
-		c.timerGen++
-		if c.timer != nil {
-			c.timer.Stop()
-			c.timer = nil
-		}
-	}
-	b.flushWG.Add(len(flushes))
 	b.mu.Unlock()
-	for _, f := range flushes {
-		go func(f flush[R]) {
-			defer b.flushWG.Done()
-			b.execute(f.c, f.batch, f.remaining)
-		}(f)
-	}
 }
 
-// Drain closes the batcher (flushing every queued request) and then
-// blocks until every in-flight batch — including the flushes Close
-// spawned — has executed and delivered its outcomes. After Drain
-// returns, no batch goroutine is running and no waiter is parked, so
-// the engine underneath can be torn down safely.
+// Drain closes the batcher and then blocks until every slot has run
+// the backlog dry and delivered its outcomes. After Drain returns, no
+// batch goroutine is running and no waiter is parked, so the engine
+// underneath can be torn down safely.
 func (b *Batcher[R]) Drain() {
 	b.Close()
-	b.flushWG.Wait()
+	b.slotWG.Wait()
 }

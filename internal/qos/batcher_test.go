@@ -4,357 +4,474 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// echoRun returns each query's first component so tests can check the
-// fan-out mapping, and records every batch it executed.
-type echoRun struct {
-	mu      sync.Mutex
-	batches [][]float32 // first components per batch, in order
-	delay   time.Duration
-	err     error
+// started is what a gated batch announces when its run begins.
+type started struct {
+	firsts []float32 // first component of each query, in batch order
+	w      int
+	ctx    context.Context
 }
 
-func (e *echoRun) run(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
-	if e.delay > 0 {
-		select {
-		case <-time.After(e.delay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
+// gatedRun is a RunFunc under the test's control: every batch announces
+// itself on entered and then blocks until the test sends on release, so
+// a test decides exactly when an engine slot is busy and observes each
+// batch's composition without sleeping. It echoes each query's first
+// component so fan-out mapping is checkable.
+type gatedRun struct {
+	entered chan started
+	release chan error // the value sent is the batch's error
+}
+
+func newGatedRun() *gatedRun {
+	return &gatedRun{entered: make(chan started), release: make(chan error)}
+}
+
+func (g *gatedRun) run(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
 	out := make([]float32, len(queries))
-	firsts := make([]float32, len(queries))
 	for i, q := range queries {
 		out[i] = q[0]
-		firsts[i] = q[0]
 	}
-	e.mu.Lock()
-	e.batches = append(e.batches, firsts)
-	e.mu.Unlock()
+	g.entered <- started{firsts: append([]float32(nil), out...), w: w, ctx: ctx}
+	if err := <-g.release; err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-func (e *echoRun) batchSizes() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sizes := make([]int, len(e.batches))
-	for i, b := range e.batches {
-		sizes[i] = len(b)
-	}
-	return sizes
+// result is one Submit's return values.
+type result struct {
+	got  float32
+	info BatchInfo
+	err  error
 }
 
-// Concurrent submissions inside one window coalesce into one batch, and
-// every submitter gets its own query's result back.
-func TestBatcherCoalesces(t *testing.T) {
-	e := &echoRun{}
-	b := NewBatcher(e.run, BatcherOptions{Window: 20 * time.Millisecond, MaxBatch: 64})
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	got := make([]float32, n)
-	infos := make([]BatchInfo, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], infos[i], errs[i] = b.Submit(context.Background(), "t", Interactive, 1, []float32{float32(i)}, 8, 4)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
-		}
-		if got[i] != float32(i) {
-			t.Errorf("submit %d got result %v (fan-out misrouted)", i, got[i])
-		}
-	}
-	sizes := e.batchSizes()
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != n {
-		t.Fatalf("executed %d queries across %v, want %d", total, sizes, n)
-	}
-	if len(sizes) == n {
-		t.Errorf("no coalescing: %d batches for %d concurrent submits", len(sizes), n)
-	}
-	if infos[0].Size == 0 {
-		t.Errorf("BatchInfo.Size not populated: %+v", infos[0])
-	}
-}
-
-// A full batch flushes before the window expires.
-func TestBatcherFlushesEarlyAtMaxBatch(t *testing.T) {
-	e := &echoRun{}
-	b := NewBatcher(e.run, BatcherOptions{Window: time.Hour, MaxBatch: 4})
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{float32(i)}, 8, 4); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("full batch waited %v despite MaxBatch=4 (window never fired?)", el)
-	}
-	if sizes := e.batchSizes(); len(sizes) < 1 {
-		t.Fatal("no batch executed")
-	}
-}
-
-// Different (W, K) classes never share a batch.
-func TestBatcherClassesSeparate(t *testing.T) {
-	e := &echoRun{}
-	b := NewBatcher(e.run, BatcherOptions{Window: 10 * time.Millisecond, MaxBatch: 64})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := 8 + i%2 // two classes
-			if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{float32(i)}, w, 4); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// 8 queries, 2 classes: every batch must be single-class, which the
-	// echo payload encodes as first components of matching parity.
-	for _, batch := range e.batches {
-		for _, f := range batch {
-			if int(f)%2 != int(batch[0])%2 {
-				t.Fatalf("mixed-class batch: %v", batch)
-			}
-		}
-	}
-}
-
-// A canceled submitter returns immediately; the rest of the batch still
-// completes.
-func TestBatcherCancellation(t *testing.T) {
-	e := &echoRun{delay: 5 * time.Millisecond}
-	b := NewBatcher(e.run, BatcherOptions{Window: 10 * time.Millisecond, MaxBatch: 64})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // canceled before submitting: the waiter must not hang
-	if _, _, err := b.Submit(ctx, "t", Interactive, 1, []float32{1}, 8, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled submit returned %v, want context.Canceled", err)
-	}
-	// A live submitter in the same class still gets served.
-	if got, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{2}, 8, 4); err != nil || got != 2 {
-		t.Fatalf("live submit after cancel: got %v, %v", got, err)
-	}
-}
-
-// A run error reaches every member of the batch.
-func TestBatcherRunErrorFansOut(t *testing.T) {
-	boom := errors.New("boom")
-	e := &echoRun{err: boom}
-	b := NewBatcher(e.run, BatcherOptions{Window: 5 * time.Millisecond, MaxBatch: 64})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 8, 4); !errors.Is(err, boom) {
-				t.Errorf("got %v, want boom", err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// The QoS fairness pin: with a bulk backlog far longer than the batch
-// size and one batch slot (so excess demand backs up in the batcher,
-// as it does at engine saturation), an interactive request rides the
-// very next flush instead of waiting behind the backlog.
-func TestBatcherInteractiveNotStarvedByBulkFlood(t *testing.T) {
-	e := &echoRun{delay: 2 * time.Millisecond}
-	b := NewBatcher(e.run, BatcherOptions{Window: 2 * time.Millisecond, MaxBatch: 8, MaxConcurrent: 1})
-
-	// Flood: 96 bulk queries (12 full batches of work). With one batch
-	// slot only the first 8 start executing; the rest queue.
-	const flood = 96
-	var floodWG sync.WaitGroup
-	var floodDone atomic.Int32
-	for i := 0; i < flood; i++ {
-		floodWG.Add(1)
-		go func(i int) {
-			defer floodWG.Done()
-			_, _, err := b.Submit(context.Background(), "bulk", Bulk, 1, []float32{float32(1000 + i)}, 8, 4)
-			if err != nil {
-				t.Errorf("bulk submit: %v", err)
-			}
-			floodDone.Add(1)
-		}(i)
-	}
-	// Let the flood back up in the batcher.
-	for b.QueueDepth() < flood/2 {
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	// One interactive request arriving into the backlog.
-	start := time.Now()
-	got, info, err := b.Submit(context.Background(), "live", Interactive, 1, []float32{7}, 8, 4)
-	wait := time.Since(start)
-	done := floodDone.Load()
-	if err != nil || got != 7 {
-		t.Fatalf("interactive submit: got %v, %v", got, err)
-	}
-	// It must not have drained the whole flood first: most of the bulk
-	// backlog must still be waiting when the interactive one completes.
-	if done >= flood/2 {
-		t.Errorf("interactive request finished behind %d of %d bulk queries", done, flood)
-	}
-	// And its latency is bounded by a couple of batch rounds, not the
-	// backlog length (12 serialized batches x 2ms plus windows).
-	if wait > 150*time.Millisecond {
-		t.Errorf("interactive latency %v under bulk flood (batch info %+v)", wait, info)
-	}
-	floodWG.Wait()
-}
-
-// Weighted-fair dequeue: with two fully backlogged tenants of weights
-// 3 and 1, a full batch holds a 3:1 mix. A warmup batch pins the single
-// concurrency slot while both tenant queues fill, so the inspected
-// batch is assembled from complete backlogs.
-func TestBatcherWeightedFairShare(t *testing.T) {
-	release := make(chan struct{})
-	var entered atomic.Bool
-	var once sync.Once
-	e := &echoRun{}
-	gate := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
-		once.Do(func() {
-			entered.Store(true)
-			<-release
-		})
-		return e.run(ctx, queries, w, k)
-	}
-	b := NewBatcher(gate, BatcherOptions{Window: time.Hour, MaxBatch: 8, MaxConcurrent: 1})
-
-	var wg sync.WaitGroup
-	// Warmup: fill the one slot with a full batch the gate holds open.
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b.Submit(context.Background(), "warmup", Bulk, 1, []float32{float32(200 + i)}, 8, 4)
-		}(i)
-	}
-	for !entered.Load() {
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Both tenants back up fully behind the blocked slot.
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b.Submit(context.Background(), "heavy", Bulk, 3, []float32{float32(i)}, 8, 4)
-		}(i)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b.Submit(context.Background(), "light", Bulk, 1, []float32{float32(100 + i)}, 8, 4)
-		}(i)
-	}
-	for b.QueueDepth() < 24 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(release)
-	wg.Wait()
-
-	// The first post-warmup batch was assembled with 12 queries queued
-	// per tenant: weighted round-robin must give the weight-3 tenant 6
-	// of the 8 slots (3+1 per pass, two passes).
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, batch := range e.batches {
-		heavy, light := 0, 0
-		for _, f := range batch {
-			switch {
-			case f < 100:
-				heavy++
-			case f < 200:
-				light++
-			}
-		}
-		if heavy == 0 && light == 0 {
-			continue // warmup batch
-		}
-		if len(batch) != 8 || heavy != 6 || light != 2 {
-			t.Errorf("first backlogged batch split heavy=%d light=%d (batch %v), want 6/2", heavy, light, batch)
-		}
-		return
-	}
-	t.Fatal("no tenant batch executed")
-}
-
-func TestBatcherClose(t *testing.T) {
-	e := &echoRun{}
-	b := NewBatcher(e.run, BatcherOptions{Window: time.Hour, MaxBatch: 64})
-	done := make(chan error, 1)
+// submit runs one Submit on its own goroutine and returns the channel
+// its result arrives on.
+func submit(b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+	ch := make(chan result, 1)
 	go func() {
-		_, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 8, 4)
-		done <- err
+		got, info, err := b.Submit(ctx, tenant, lane, weight, []float32{v}, w, 4)
+		ch <- result{got, info, err}
 	}()
-	for b.QueueDepth() == 0 {
-		time.Sleep(100 * time.Microsecond)
+	return ch
+}
+
+// park submits one query that must queue (every slot is held) and
+// returns once it is parked, so successive parks have a known order.
+func park(t *testing.T, b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+	t.Helper()
+	depth := b.QueueDepth()
+	ch := submit(b, ctx, tenant, lane, weight, v, w)
+	for b.QueueDepth() == depth {
+		select {
+		case r := <-ch:
+			t.Fatalf("submit of %v returned %+v instead of parking", v, r)
+		default:
+			runtime.Gosched()
+		}
 	}
-	b.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("queued submit after Close: %v (want flushed result)", err)
+	return ch
+}
+
+// holdSlot occupies the single slot of a MaxConcurrent:1 batcher with a
+// batch of one and returns that submit's result channel; the slot stays
+// busy until the test sends on g.release.
+func holdSlot(t *testing.T, b *Batcher[float32], g *gatedRun) <-chan result {
+	t.Helper()
+	ch := submit(b, context.Background(), "holder", Interactive, 1, -1, 8)
+	if s := <-g.entered; len(s.firsts) != 1 || s.firsts[0] != -1 {
+		t.Fatalf("holder batch %v, want [-1]", s.firsts)
 	}
-	if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 8, 4); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	return ch
+}
+
+func wantOK(t *testing.T, ch <-chan result, v float32, size int) {
+	t.Helper()
+	r := <-ch
+	if r.err != nil || r.got != v || r.info.Size != size {
+		t.Errorf("submit %v: got %v, batch size %d, err %v; want %v in a batch of %d", v, r.got, r.info.Size, r.err, v, size)
 	}
+}
+
+// The work-conserving pin: with a slot free a query never waits for
+// company. 200 sequential submits are 200 batches of one, and their
+// summed queueing time is scheduling noise (a 1 ms coalesce window
+// would make it at least 200 ms).
+func TestBatcherIdleRunsEachSubmitAlone(t *testing.T) {
+	batches := 0
+	run := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
+		batches++ // sequential submits: one batch at a time
+		return []float32{queries[0][0]}, nil
+	}
+	b := NewBatcher(run, BatcherOptions{})
+	defer b.Drain()
+	const n = 200
+	var waited time.Duration
+	for i := 0; i < n; i++ {
+		got, info, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{float32(i)}, 8, 4)
+		if err != nil || got != float32(i) {
+			t.Fatalf("submit %d: got %v, %v", i, got, err)
+		}
+		if info.Size != 1 {
+			t.Fatalf("submit %d rode a batch of %d on an idle batcher", i, info.Size)
+		}
+		waited += info.Wait
+	}
+	if batches != n {
+		t.Errorf("%d batches for %d sequential submits", batches, n)
+	}
+	if waited >= 100*time.Millisecond {
+		t.Errorf("%d submits on an idle batcher queued for %v in total, want < 100ms", n, waited)
+	}
+}
+
+// The default slot count is GOMAXPROCS: that many queries run at once,
+// the next one parks.
+func TestBatcherDefaultSlots(t *testing.T) {
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{})
+	slots := runtime.GOMAXPROCS(0)
+	var chs []<-chan result
+	for i := 0; i < slots; i++ {
+		chs = append(chs, submit(b, context.Background(), "t", Interactive, 1, float32(i), 8))
+		<-g.entered
+	}
+	chs = append(chs, park(t, b, context.Background(), "t", Interactive, 1, float32(slots), 8))
+	for i := 0; i < slots; i++ {
+		g.release <- nil
+	}
+	<-g.entered // the parked query inherits a freed slot
+	g.release <- nil
+	for i, ch := range chs {
+		wantOK(t, ch, float32(i), 1)
+	}
+	b.Drain()
+}
+
+// Queries that arrive while the slot is busy leave together when it
+// frees: one batch of exactly N, split at MaxBatch, every submitter
+// getting its own query's result.
+func TestBatcherBacklogLeavesAsOneBatch(t *testing.T) {
+	for _, tc := range []struct {
+		parked int
+		want   []int
+	}{
+		{3, []int{3}},
+		{4, []int{4}},
+		{10, []int{4, 4, 2}},
+	} {
+		t.Run(fmt.Sprint(tc.parked), func(t *testing.T) {
+			g := newGatedRun()
+			b := NewBatcher(g.run, BatcherOptions{MaxBatch: 4, MaxConcurrent: 1})
+			holder := holdSlot(t, b, g)
+			chs := make([]<-chan result, tc.parked)
+			for i := range chs {
+				chs[i] = park(t, b, context.Background(), "t", Interactive, 1, float32(i), 8)
+			}
+			g.release <- nil
+			wantOK(t, holder, -1, 1)
+			next := 0
+			for _, size := range tc.want {
+				s := <-g.entered
+				if len(s.firsts) != size {
+					t.Fatalf("batch of %d (%v), want %d", len(s.firsts), s.firsts, size)
+				}
+				g.release <- nil
+				for range s.firsts {
+					wantOK(t, chs[next], float32(next), size)
+					next++
+				}
+			}
+			b.Drain()
+			if d := b.QueueDepth(); d != 0 {
+				t.Errorf("queue depth %d after drain", d)
+			}
+		})
+	}
+}
+
+// Different (W, K) classes never share a batch, and a freed slot goes
+// to the class whose head waiter parked first — not to whichever class
+// map iteration yields. Two classes, either parking order, repeated so
+// a random pick cannot pass by luck.
+func TestBatcherSlotHandOffOrder(t *testing.T) {
+	for round := 0; round < 16; round++ {
+		first, second := 8, 9
+		if round%2 == 1 {
+			first, second = 9, 8
+		}
+		g := newGatedRun()
+		b := NewBatcher(g.run, BatcherOptions{MaxConcurrent: 1})
+		holder := holdSlot(t, b, g)
+		bg := context.Background()
+		chs := []<-chan result{
+			park(t, b, bg, "t", Interactive, 1, 0, first),
+			park(t, b, bg, "t", Interactive, 1, 1, second),
+			park(t, b, bg, "t", Interactive, 1, 2, second),
+			park(t, b, bg, "t", Interactive, 1, 3, first),
+		}
+		g.release <- nil
+		wantOK(t, holder, -1, 1)
+		for _, want := range []struct {
+			w      int
+			firsts [2]float32
+		}{{first, [2]float32{0, 3}}, {second, [2]float32{1, 2}}} {
+			s := <-g.entered
+			if s.w != want.w || len(s.firsts) != 2 || [2]float32(s.firsts) != want.firsts {
+				t.Fatalf("round %d: slot went to w=%d %v, want w=%d %v", round, s.w, s.firsts, want.w, want.firsts)
+			}
+			g.release <- nil
+		}
+		for i, ch := range chs {
+			wantOK(t, ch, float32(i), 2)
+		}
+		b.Drain()
+	}
+}
+
+// The QoS fairness pin: an interactive request that arrives behind a
+// bulk backlog far longer than a batch rides the very next batch, at
+// its head.
+func TestBatcherInteractiveBeforeBulk(t *testing.T) {
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxBatch: 8, MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	bg := context.Background()
+	var bulk []<-chan result
+	for i := 0; i < 20; i++ {
+		bulk = append(bulk, park(t, b, bg, "bulk", Bulk, 1, float32(100+i), 8))
+	}
+	live := park(t, b, bg, "live", Interactive, 1, 7, 8)
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+
+	s := <-g.entered
+	if len(s.firsts) != 8 || s.firsts[0] != 7 {
+		t.Fatalf("first backlogged batch %v, want the interactive query then 7 bulk", s.firsts)
+	}
+	for i, f := range s.firsts[1:] {
+		if f != float32(100+i) {
+			t.Errorf("bulk position %d holds %v, want FIFO %v", i, f, 100+i)
+		}
+	}
+	g.release <- nil
+	wantOK(t, live, 7, 8)
+	for _, size := range []int{8, 5} { // the other 13 bulk queries
+		if s := <-g.entered; len(s.firsts) != size {
+			t.Fatalf("bulk batch of %d, want %d", len(s.firsts), size)
+		}
+		g.release <- nil
+	}
+	for i, ch := range bulk {
+		if r := <-ch; r.err != nil || r.got != float32(100+i) {
+			t.Errorf("bulk %d: got %v, %v", i, r.got, r.err)
+		}
+	}
+	b.Drain()
+}
+
+// Weighted-fair dequeue: with two fully backlogged tenants of weights 3
+// and 1, a full batch holds a 3:1 mix.
+func TestBatcherWeightedFairShare(t *testing.T) {
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxBatch: 8, MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	bg := context.Background()
+	var chs []<-chan result
+	for i := 0; i < 12; i++ {
+		chs = append(chs,
+			park(t, b, bg, "heavy", Bulk, 3, float32(i), 8),
+			park(t, b, bg, "light", Bulk, 1, float32(100+i), 8))
+	}
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+
+	// Assembled with 12 queued per tenant: weighted round-robin gives
+	// the weight-3 tenant 6 of the 8 places (3+1 per pass, two passes).
+	s := <-g.entered
+	heavy := 0
+	for _, f := range s.firsts {
+		if f < 100 {
+			heavy++
+		}
+	}
+	if len(s.firsts) != 8 || heavy != 6 {
+		t.Errorf("first backlogged batch %v: %d heavy of %d, want 6 of 8", s.firsts, heavy, len(s.firsts))
+	}
+	g.release <- nil
+	for i := 0; i < 2; i++ { // the other 16 queries
+		<-g.entered
+		g.release <- nil
+	}
+	for _, ch := range chs {
+		if r := <-ch; r.err != nil {
+			t.Errorf("submit: %v", r.err)
+		}
+	}
+	b.Drain()
+}
+
+// A submitter that gives up while parked returns at once and is left
+// out of the batch; the rest of the backlog is served.
+func TestBatcherCancelWhileParked(t *testing.T) {
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := park(t, b, ctx, "t", Interactive, 1, 1, 8)
+	stays := park(t, b, context.Background(), "t", Interactive, 1, 2, 8)
+	cancel()
+	if r := <-gone; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("canceled submit returned %v, want context.Canceled", r.err)
+	}
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+	if s := <-g.entered; len(s.firsts) != 1 || s.firsts[0] != 2 {
+		t.Fatalf("batch %v after a parked cancel, want [2]", s.firsts)
+	}
+	g.release <- nil
+	wantOK(t, stays, 2, 1)
+	b.Drain()
+}
+
+// The batch context is canceled only once every member has abandoned.
+func TestBatcherAllAbandonedCancelsRun(t *testing.T) {
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	ctxA, cancelA := context.WithCancel(context.Background())
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	a := park(t, b, ctxA, "t", Interactive, 1, 1, 8)
+	bb := park(t, b, ctxB, "t", Interactive, 1, 2, 8)
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+
+	s := <-g.entered
+	cancelA()
+	if r := <-a; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("first abandoner got %v", r.err)
+	}
+	if err := s.ctx.Err(); err != nil {
+		t.Fatalf("batch context %v with one of two members still waiting", err)
+	}
+	cancelB()
+	<-s.ctx.Done() // hangs (test timeout) if abandonment is not propagated
+	if r := <-bb; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("second abandoner got %v", r.err)
+	}
+	g.release <- context.Canceled
+	b.Drain()
 }
 
 // The deadline of the batch context is the latest member deadline, and
 // it is only set when every member is bounded.
 func TestBatcherDeadlinePropagation(t *testing.T) {
-	type seen struct {
-		deadline time.Time
-		ok       bool
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	near, cancelNear := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelNear()
+	far, cancelFar := context.WithTimeout(context.Background(), 2*time.Hour)
+	defer cancelFar()
+	// Two classes: one all-bounded, one with an unbounded member.
+	chs := []<-chan result{
+		park(t, b, near, "t", Interactive, 1, 1, 8),
+		park(t, b, far, "t", Interactive, 1, 2, 8),
+		park(t, b, near, "t", Interactive, 1, 3, 9),
+		park(t, b, context.Background(), "t", Interactive, 1, 4, 9),
 	}
-	ch := make(chan seen, 1)
-	run := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
-		d, ok := ctx.Deadline()
-		ch <- seen{d, ok}
-		return make([]float32, len(queries)), nil
-	}
-	b := NewBatcher(run, BatcherOptions{Window: 5 * time.Millisecond, MaxBatch: 64})
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if _, _, err := b.Submit(ctx, "t", Interactive, 1, []float32{1}, 8, 4); err != nil {
-		t.Fatal(err)
+	s := <-g.entered
+	want, _ := far.Deadline()
+	if d, ok := s.ctx.Deadline(); !ok || !d.Equal(want) {
+		t.Errorf("bounded batch saw deadline %v ok=%v, want the latest member deadline %v", d, ok, want)
 	}
-	if s := <-ch; !s.ok || time.Until(s.deadline) > time.Minute {
-		t.Errorf("bounded batch saw deadline %v ok=%v", s.deadline, s.ok)
+	g.release <- nil
+	s = <-g.entered
+	if d, ok := s.ctx.Deadline(); ok {
+		t.Errorf("batch with an unbounded member has deadline %v", d)
 	}
+	g.release <- nil
+	for i, ch := range chs {
+		wantOK(t, ch, float32(i+1), 2)
+	}
+	b.Drain()
+}
 
-	if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 8, 4); err != nil {
-		t.Fatal(err)
+// A run error reaches every member of the batch.
+func TestBatcherRunErrorFansOut(t *testing.T) {
+	boom := errors.New("boom")
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	var chs []<-chan result
+	for i := 0; i < 4; i++ {
+		chs = append(chs, park(t, b, context.Background(), "t", Interactive, 1, float32(i), 8))
 	}
-	if s := <-ch; s.ok {
-		t.Errorf("unbounded member but batch ctx has deadline %v", s.deadline)
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+	<-g.entered
+	g.release <- boom
+	for i, ch := range chs {
+		if r := <-ch; !errors.Is(r.err, boom) {
+			t.Errorf("member %d got %v, want boom", i, r.err)
+		}
+	}
+	b.Drain()
+}
+
+// Close refuses new work but the parked backlog is still served; Drain
+// returns only after the last batch has delivered, and nothing the
+// batcher started outlives it.
+func TestBatcherCloseAndDrain(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := newGatedRun()
+	b := NewBatcher(g.run, BatcherOptions{MaxBatch: 2, MaxConcurrent: 1})
+	holder := holdSlot(t, b, g)
+	var chs []<-chan result
+	for i := 0; i < 3; i++ {
+		chs = append(chs, park(t, b, context.Background(), "t", Interactive, 1, float32(i), 8))
+	}
+	b.Close()
+	if _, _, err := b.Submit(context.Background(), "t", Interactive, 1, []float32{9}, 8, 4); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+	drained := make(chan struct{})
+	go func() { b.Drain(); close(drained) }()
+
+	g.release <- nil
+	wantOK(t, holder, -1, 1)
+	for _, size := range []int{2, 1} {
+		if s := <-g.entered; len(s.firsts) != size {
+			t.Fatalf("parked batch of %d after Close, want %d", len(s.firsts), size)
+		}
+		select {
+		case <-drained:
+			t.Fatal("Drain returned while a batch was still blocked in run")
+		default:
+		}
+		g.release <- nil
+	}
+	wantOK(t, chs[0], 0, 2)
+	wantOK(t, chs[1], 1, 2)
+	wantOK(t, chs[2], 2, 1)
+	<-drained
+	if d := b.QueueDepth(); d != 0 {
+		t.Errorf("queue depth %d after Drain", d)
+	}
+	// Every goroutine above has delivered its result; the exits
+	// themselves may trail by a scheduling step.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, %d before the batcher existed", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -388,7 +505,7 @@ func ExampleBatcher() {
 		}
 		return out, nil
 	}
-	b := NewBatcher(run, BatcherOptions{Window: time.Millisecond, MaxBatch: 8})
+	b := NewBatcher(run, BatcherOptions{MaxBatch: 8})
 	res, _, _ := b.Submit(context.Background(), "tenant-a", Interactive, 1, []float32{42}, 16, 10)
 	fmt.Println(res)
 	// Output: w=16 k=10 q0=42

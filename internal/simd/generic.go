@@ -51,8 +51,9 @@ func BuildNibblePlanes(planes []byte, vals []float32, ks, nSub int) {
 // sub-spaces each).
 //
 // It also gates the rows against thresh: bit r%32 of mask[r/32] is set
-// unless sums[r] <= thresh (so a NaN sum survives, as it does the
-// scalar `s <= thresh` skip test). len(mask) must be len(sums)/32. The
+// unless sums[r] < thresh (so a sum equal to thresh survives — the
+// selector breaks that tie by ID — and so does a NaN sum, as both do the
+// scalar `s < thresh` skip test). len(mask) must be len(sums)/32. The
 // gate is on the partial sum, so it is a valid pre-filter of final
 // scores only when the kernel covers every sub-space and nothing
 // rounds the sum afterwards; callers that cannot promise that ignore
@@ -104,7 +105,7 @@ func adcSums4Generic(planes []byte, bias float32, packed []byte, codeBytes, grou
 			s += math.Float32frombits(bits)
 		}
 		sums[r] = s
-		if !(s <= thresh) {
+		if !(s < thresh) {
 			mask[r/32] |= 1 << (r % 32)
 		}
 	}

@@ -17,7 +17,7 @@
 // in-register shuffle LUT for k*=16, broadcast to both lanes),
 // reassembling floats with unpack interleaves. No gathers anywhere.
 // After the last group it stores the 32 sums in row order and one
-// survivor bit per row: bit r is set unless sums[r] <= thresh.
+// survivor bit per row: bit r is set unless sums[r] < thresh.
 //
 // adcSums8Asm: 8 rows at a time for the k*=256 layout (LUT stride fixed
 // at 256 entries). A 256-float table cannot live in registers, so each
@@ -95,12 +95,12 @@ GLOBL nibbleMask<>(SB), RODATA|NOPTR, $16
 
 // GATE stores accumulator YA (rows ROW..ROW+3 low lane, ROW+16..ROW+19
 // high lane) and ORs its survivor bits into the block mask in AX.
-// Predicate 0x16 is NLE_UQ: true unless sum <= thresh, NaN included,
-// which is exactly the complement of the Go-side skip test.
+// Predicate 0x15 is NLT_UQ: true unless sum < thresh, ties and NaN
+// included, which is exactly the complement of the Go-side skip test.
 #define GATE(XA, YA, ROW) \
 	VMOVUPS      XA, 4*ROW(R9)          \
 	VEXTRACTF128 $1, YA, 4*ROW+64(R9)   \
-	VCMPPS       $0x16, Y5, YA, Y4      \
+	VCMPPS       $0x15, Y5, YA, Y4      \
 	VMOVMSKPS    Y4, BX                 \
 	MOVL         BX, CX                 \
 	ANDL         $15, BX                \

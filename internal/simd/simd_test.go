@@ -135,8 +135,8 @@ func TestADCSums4Diff(t *testing.T) {
 		bias := float32(rng.NormFloat64())
 		label := fmt.Sprintf("%+v", tc)
 		sums := diffADCSums4(t, label, planes, bias, packed, tc.codeBytes, tc.groups, tc.n, 0)
-		// Gate edges: a threshold equal to an actual sum (<= must drop
-		// that row and keep the next larger one), both infinities, NaN.
+		// Gate edges: a threshold equal to an actual sum (< must keep
+		// that row and drop the next smaller one), both infinities, NaN.
 		for _, th := range []float32{sums[rng.Intn(tc.n)], float32(math.Inf(-1)), float32(math.Inf(1)), float32(math.NaN())} {
 			diffADCSums4(t, label, planes, bias, packed, tc.codeBytes, tc.groups, tc.n, th)
 		}
@@ -164,7 +164,7 @@ func TestADCSums4MaskSemantics(t *testing.T) {
 		if math.Float32bits(sums[r]) != math.Float32bits(e+0) {
 			t.Fatalf("row %d: sum %v, want %v", r, sums[r], e)
 		}
-		if got, want := mask[0]>>r&1 == 1, !(e <= 0); got != want {
+		if got, want := mask[0]>>r&1 == 1, !(e < 0); got != want {
 			t.Fatalf("row %d (sum %v, thresh 0): survivor bit %v, want %v", r, e, got, want)
 		}
 	}

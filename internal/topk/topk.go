@@ -20,11 +20,14 @@ type Result struct {
 	Score float32
 }
 
-// Selector keeps the k results with the largest scores using a bounded
-// min-heap rooted at the current worst retained score.
+// Selector keeps the k best results using a bounded heap rooted at the
+// worst retained one. "Best" is a total order — larger score first,
+// smaller ID on equal scores (see before) — so the retained set depends
+// only on which candidates were pushed, never on the order they arrived
+// in: workers may feed one selector in any interleaving.
 type Selector struct {
 	k    int
-	heap []Result // min-heap on Score
+	heap []Result // heap[0] is the worst retained result
 }
 
 // NewSelector returns a Selector retaining the top k scores. k must be > 0.
@@ -42,8 +45,10 @@ func (s *Selector) K() int { return s.k }
 func (s *Selector) Len() int { return len(s.heap) }
 
 // Threshold returns the smallest retained score, or -Inf semantics via
-// ok=false while fewer than k results have been pushed. A candidate with
-// Score <= Threshold (when full) cannot enter the selector.
+// ok=false while fewer than k results have been pushed. When full, a
+// candidate with Score < Threshold cannot enter the selector; one with
+// Score == Threshold enters only if its ID is smaller than that of the
+// worst retained result, which Push decides.
 func (s *Selector) Threshold() (score float32, ok bool) {
 	if len(s.heap) < s.k {
 		return 0, false
@@ -58,42 +63,50 @@ func (s *Selector) Push(id int64, score float32) bool {
 		s.up(len(s.heap) - 1)
 		return true
 	}
-	if score <= s.heap[0].Score {
+	r := Result{id, score}
+	if !before(r, s.heap[0]) {
 		return false
 	}
-	s.heap[0] = Result{id, score}
+	s.heap[0] = r
 	s.down(0)
 	return true
 }
 
+// up and down sift heap[i] into place through a moving hole: each level
+// costs one store, not a swap.
 func (s *Selector) up(i int) {
+	h := s.heap
+	v := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if s.heap[p].Score <= s.heap[i].Score {
+		if !before(h[p], v) {
 			break
 		}
-		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = v
 }
 
 func (s *Selector) down(i int) {
-	n := len(s.heap)
+	h := s.heap
+	n := len(h)
+	v := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.heap[l].Score < s.heap[m].Score {
-			m = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && s.heap[r].Score < s.heap[m].Score {
-			m = r
+		if r := c + 1; r < n && before(h[c], h[r]) {
+			c = r // the worse child
 		}
-		if m == i {
-			return
+		if !before(v, h[c]) {
+			break
 		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = v
 }
 
 // Results returns the retained results sorted by descending score
@@ -175,10 +188,7 @@ func SortDesc(r []Result) {
 // before reports whether a orders strictly ahead of b: larger score
 // first, smaller ID on score ties.
 func before(a, b Result) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
+	return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
 }
 
 // Merge returns the top-k of the concatenation of several result lists.

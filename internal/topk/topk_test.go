@@ -40,17 +40,56 @@ func TestSelectorFewerThanK(t *testing.T) {
 	}
 }
 
-func TestSelectorRejectsEqualToThreshold(t *testing.T) {
+// A tie with the worst retained score is settled by ID, not by arrival.
+func TestSelectorTieAtThreshold(t *testing.T) {
 	s := NewSelector(1)
-	s.Push(1, 5)
+	s.Push(4, 5)
+	if s.Push(6, 5) {
+		t.Error("equal score with a larger ID displaced the retained entry")
+	}
+	if !s.Push(2, 5) {
+		t.Error("equal score with a smaller ID rejected")
+	}
 	if s.Push(2, 5) {
-		t.Error("equal score displaced retained entry")
+		t.Error("the retained entry displaced itself")
+	}
+	if got := s.Results()[0].ID; got != 2 {
+		t.Errorf("retained ID = %d, want 2", got)
 	}
 	if !s.Push(3, 6) {
 		t.Error("larger score rejected")
 	}
-	if got := s.Results()[0].ID; got != 3 {
-		t.Errorf("retained ID = %d", got)
+}
+
+// The retained set is a function of the candidates alone: any arrival
+// order — the engine's workers feed one query's selector cluster by
+// cluster in whatever order they get there — gives the same results,
+// with runs of equal scores straddling the cut-off.
+func TestSelectorOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		k := 1 + rng.Intn(n)
+		cands := make([]Result, n)
+		for i := range cands {
+			cands[i] = Result{int64(i), float32(rng.Intn(4))} // heavy ties
+		}
+		want := append([]Result(nil), cands...)
+		SortDesc(want)
+		want = want[:k]
+		for perm := 0; perm < 4; perm++ {
+			rng.Shuffle(n, func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			s := NewSelector(k)
+			for _, c := range cands {
+				s.Push(c.ID, c.Score)
+			}
+			got := s.Results()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d rank %d: %+v, want %+v", n, k, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -108,23 +107,28 @@ type Server struct {
 	// SnapshotEvery, when positive with Store set, auto-checkpoints
 	// after that many vectors have been added since the last snapshot.
 	SnapshotEvery int
-	// BatchWindow bounds how long a single-query /search may be held so
-	// concurrent requests coalesce into one ClusterMajor engine batch
-	// (default 1ms; negative disables the dynamic batcher). Coalescing
-	// is bit-exact with per-request execution — the engine's per-query
-	// state is independent of batch composition — it only amortizes
-	// cluster selection and inverted-list loads the way the paper's
-	// Figure 5 batches do. Multi-query requests are already engine
-	// batches and always run directly.
+	// BatchWindow switches the dynamic batcher: negative disables it, any
+	// other value (the default) enables it. Deprecated as a duration —
+	// there is no coalesce window any more and the length is ignored. The
+	// batcher is work-conserving: a single-query /search that finds a
+	// free engine slot runs at once, and only requests that arrive while
+	// every slot is busy are coalesced, by the next slot to free, into
+	// one ClusterMajor engine batch. Coalescing is bit-exact with
+	// per-request execution — the engine's per-query state is independent
+	// of batch composition — it only amortizes cluster selection and
+	// inverted-list loads the way the paper's Figure 5 batches do.
+	// Multi-query requests are already engine batches and always run
+	// directly.
 	BatchWindow time.Duration
-	// BatchMaxSize flushes a forming coalesced batch early once it
-	// holds this many queries (default 64).
+	// BatchMaxSize caps the queries a freed slot takes from the backlog
+	// as one coalesced batch (default 64).
 	BatchMaxSize int
-	// BatchMaxConcurrent bounds coalesced batches executing at once
-	// (default GOMAXPROCS). The bound is what gives the QoS lanes
-	// teeth: overload backs up in the batcher queue — where
-	// interactive-lane requests are dequeued ahead of bulk — instead of
-	// racing into the engine in arrival order.
+	// BatchMaxConcurrent is the number of engine slots: coalesced
+	// batches executing at once (default GOMAXPROCS, applied by
+	// qos.NewBatcher). The bound is what makes queries coalesce and
+	// gives the QoS lanes teeth: overload backs up in the batcher queue —
+	// where interactive-lane requests are dequeued ahead of bulk —
+	// instead of racing into the engine in arrival order.
 	BatchMaxConcurrent int
 	// CacheSize bounds the result cache in entries (default 4096;
 	// negative disables it). The cache is keyed on the index's own PQ
@@ -437,7 +441,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		batchSize: reg.Histogram("anna_batch_size_queries",
 			"Queries per coalesced engine batch.", metrics.ExpBuckets(1, 2, 11)),
 		batchWait: reg.Histogram("anna_batch_coalesce_wait_seconds",
-			"Time a query spent parked in the batcher before its batch started.",
+			"Time a query spent queued behind busy engine slots before its batch started.",
 			metrics.ExpBuckets(50e-6, 2, 16)),
 		flushes: reg.Counter("anna_batch_flushes_total",
 			"Coalesced engine batches executed."),
@@ -468,7 +472,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Vectors in the index.",
 		func() float64 { s.mu.RLock(); defer s.mu.RUnlock(); return float64(s.idx.Len()) })
 	reg.GaugeFunc("anna_batch_queue_depth",
-		"Queries parked in the dynamic batcher awaiting a flush.",
+		"Queries parked in the dynamic batcher awaiting a free engine slot.",
 		func() float64 {
 			if b := s.batcher.Load(); b != nil {
 				return float64(b.QueueDepth())
@@ -601,14 +605,9 @@ func (s *Server) initQoS() {
 			s.cache.Store(qos.NewCache[servedRow](size))
 		}
 		if s.BatchWindow >= 0 {
-			conc := s.BatchMaxConcurrent
-			if conc <= 0 {
-				conc = runtime.GOMAXPROCS(0)
-			}
 			s.batcher.Store(qos.NewBatcher(s.runCoalesced, qos.BatcherOptions{
-				Window:        s.BatchWindow,
 				MaxBatch:      s.BatchMaxSize,
-				MaxConcurrent: conc,
+				MaxConcurrent: s.BatchMaxConcurrent,
 				Observer: qos.Observer{
 					Flush: func(size, _ int) {
 						s.m.flushes.Inc()
@@ -627,7 +626,7 @@ func (s *Server) initQoS() {
 // Close releases the server's background resources: it closes the
 // batcher and waits until every in-flight coalesced batch has executed
 // and fanned its results out, so the index and store underneath can be
-// snapshotted and torn down without racing a pending flush window.
+// snapshotted and torn down without racing a parked query.
 // Callers shut the HTTP listener down first (http.Server.Shutdown), so
 // by the time Close drains no new Submits arrive.
 func (s *Server) Close() {
@@ -689,7 +688,7 @@ func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int
 	return rows, rep, nil
 }
 
-// runCoalesced is the batcher's RunFunc: one coalesced flush.
+// runCoalesced is the batcher's RunFunc: one coalesced batch.
 func (s *Server) runCoalesced(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, error) {
 	rows, _, err := s.searchLocked(ctx, queries, w, k)
 	return rows, err
@@ -700,9 +699,10 @@ func (s *Server) runCoalesced(ctx context.Context, queries [][]float32, w, k int
 // backend is cached, so the backend is not part of the key. When
 // adaptive serving is active the effort knobs join the key, so a
 // controller step makes prior entries unreachable instead of serving
-// results computed at a different operating point. (A step landing
-// inside a request's coalescing window can still cache a row under the
-// neighbouring rung — one window of staleness, one ladder level apart.)
+// results computed at a different operating point. (The key is built
+// once, at lookup, so a step landing between a miss and its engine run
+// can still cache that row under the neighbouring rung — one request of
+// staleness, one ladder level apart.)
 func (s *Server) appendCacheKey(dst []byte, q []float32, w, k int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(w))
 	dst = binary.AppendUvarint(dst, uint64(k))
@@ -863,14 +863,16 @@ func (s *Server) admit() bool {
 const requestIDHeader = "X-Request-ID"
 
 // searchScratch is the pooled per-request working set of handleSearch:
-// the decoded request (inner query buffers included), the cache-key
-// buffer, the per-query row table, and the response arena. Everything
+// the decoded request (inner query buffers included), the cache keys of
+// the misses (built for the lookup, reused for the store), the per-query
+// row table, and the response arena. Everything
 // that outlives the request copies out of these buffers (the batcher
 // and cache copy queries; the response is encoded before the handler
 // returns), so the whole set recycles alloc-free.
 type searchScratch struct {
 	req    searchRequest
-	key    []byte
+	keys   []byte // cache keys of the misses, concatenated
+	keyEnd []int  // keyEnd[j]: end of miss j's key in keys
 	rows   []servedRow
 	miss   [][]float32
 	missAt []int
@@ -1052,18 +1054,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// Split the request into cache hits and misses; only the misses
 		// reach the engine.
 		miss, missAt := sc.miss[:0], sc.missAt[:0]
+		keys, keyEnd := sc.keys[:0], sc.keyEnd[:0]
 		for i, q := range req.Queries {
 			if cache != nil {
-				sc.key = s.appendCacheKey(sc.key[:0], q, req.W, req.K)
-				if row, ok := cache.Get(sc.key, q); ok {
+				lo := len(keys)
+				keys = s.appendCacheKey(keys, q, req.W, req.K)
+				if row, ok := cache.Get(keys[lo:], q); ok {
 					rows[i] = row
+					keys = keys[:lo]
 					continue
 				}
+				keyEnd = append(keyEnd, len(keys))
 			}
 			miss = append(miss, q)
 			missAt = append(missAt, i)
 		}
-		sc.miss, sc.missAt = miss, missAt
+		sc.miss, sc.missAt, sc.keys, sc.keyEnd = miss, missAt, keys, keyEnd
 		switch {
 		case len(miss) == 0:
 			if tr != nil {
@@ -1072,7 +1078,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		default:
 			if b := s.batcher.Load(); b != nil && nq == 1 && len(miss) == 1 && tr == nil {
 				// Single-query requests ride the dynamic batcher so
-				// concurrent traffic shares one ClusterMajor engine run.
+				// traffic beyond the engine slots shares ClusterMajor runs.
 				// Multi-query requests are already engine batches, and
 				// sampled/tagged requests run directly so their engine
 				// spans attach to the trace.
@@ -1131,10 +1137,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if cache != nil {
-				for _, at := range missAt {
-					q := req.Queries[at]
-					sc.key = s.appendCacheKey(sc.key[:0], q, req.W, req.K)
-					cache.Put(sc.key, q, rows[at], rows[at].gen)
+				lo := 0
+				for j, at := range missAt {
+					cache.Put(keys[lo:keyEnd[j]], req.Queries[at], rows[at], rows[at].gen)
+					lo = keyEnd[j]
 				}
 			}
 		}

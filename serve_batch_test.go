@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"anna/internal/metrics"
 	"anna/internal/qos"
@@ -54,7 +54,10 @@ func searchOne(t *testing.T, url string, q []float32, w, k int) []searchResult {
 }
 
 // Coalesced serving returns exactly what per-request serving returns,
-// for any coalesce window — the acceptance pin for the dynamic batcher.
+// whatever the load — the acceptance pin for the dynamic batcher. One
+// client never finds the engine slots busy (every request is its own
+// batch); 64 clients released together behind two busy slots must share
+// batches; both match the direct path bit for bit.
 func TestBatchedServingBitExact(t *testing.T) {
 	idx, _, queries := buildTestIndex(t, L2, 16)
 
@@ -68,25 +71,42 @@ func TestBatchedServingBitExact(t *testing.T) {
 		want[i] = searchOne(t, refTS.URL, q, 16, 10)
 	}
 
-	for _, window := range []time.Duration{500 * time.Microsecond, 2 * time.Millisecond} {
-		t.Run(window.String(), func(t *testing.T) {
+	const n, slots = 64, 2
+	for _, clients := range []int{1, 8, n} {
+		t.Run(strconv.Itoa(clients), func(t *testing.T) {
 			s := NewServer(idx)
-			s.BatchWindow = window
-			s.CacheSize = -1 // isolate the batcher
+			s.CacheSize = -1                         // isolate the batcher
+			s.TraceSampleEvery, s.SlowQuery = -1, -1 // traced requests bypass it
+			s.BatchMaxConcurrent = slots
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
+			defer s.Close()
 
-			// 64 concurrent single-query requests cycling the query set:
-			// these coalesce into shared engine batches.
-			const n = 64
+			// With one request per client, stall the engine (it runs under
+			// the read lock) until every request is in: two hold the slots,
+			// the rest are parked and must leave in shared batches.
+			gated := clients == n
+			if gated {
+				s.mu.Lock()
+			}
+			// n single-query requests cycling the query set, spread over
+			// the clients.
 			var wg sync.WaitGroup
 			got := make([][]searchResult, n)
-			for i := 0; i < n; i++ {
+			for c := 0; c < clients; c++ {
 				wg.Add(1)
-				go func(i int) {
+				go func(c int) {
 					defer wg.Done()
-					got[i] = searchOne(t, ts.URL, queries[i%len(queries)], 16, 10)
-				}(i)
+					for i := c; i < n; i += clients {
+						got[i] = searchOne(t, ts.URL, queries[i%len(queries)], 16, 10)
+					}
+				}(c)
+			}
+			if gated {
+				for b := s.batcher.Load(); b == nil || b.QueueDepth() < n-slots; b = s.batcher.Load() {
+					runtime.Gosched()
+				}
+				s.mu.Unlock()
 			}
 			wg.Wait()
 
@@ -101,11 +121,16 @@ func TestBatchedServingBitExact(t *testing.T) {
 					}
 				}
 			}
-			if flushes := s.m.flushes.Value(); flushes == 0 || flushes >= n {
-				t.Errorf("%d engine flushes for %d concurrent requests (no coalescing?)", flushes, n)
-			} else {
-				t.Logf("window %v: %d requests rode %d engine batches", window, n, flushes)
+			flushes := s.m.flushes.Value()
+			switch {
+			case clients == 1 && flushes != n:
+				t.Errorf("%d engine batches for %d sequential requests, want one each", flushes, n)
+			case gated && flushes != slots+1:
+				t.Errorf("%d engine batches, want %d: one per held slot, one for the %d parked behind them", flushes, slots+1, n-slots)
+			case flushes == 0 || flushes > n:
+				t.Errorf("%d engine batches for %d requests (batcher not on the path?)", flushes, n)
 			}
+			t.Logf("%d clients: %d requests rode %d engine batches", clients, n, flushes)
 		})
 	}
 }

@@ -34,7 +34,7 @@ bench-ab:
 	PAIRS=$(PAIRS) bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
 
 race:
-	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .
+	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/wire/... ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .
 
 # Mirrors .github/workflows/ci.yml exactly (same commands, same package
 # lists) so a green `make ci` means a green CI run. Keep in sync.
@@ -72,7 +72,7 @@ fmt-check:
 # sampler and the concurrent /search + /add cache-invalidation test).
 .PHONY: ci-race
 ci-race:
-	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/cluster/... ./internal/tsdb/... ./internal/slo/... .
+	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/wire/... ./internal/cluster/... ./internal/tsdb/... ./internal/slo/... .
 
 # The CI cluster-integration job: the multi-process fault-injection
 # harness (shard processes SIGKILLed mid-load) plus the router's
@@ -85,13 +85,20 @@ cluster-integration:
 # loader and the WAL reader — with coverage-guided corrupt inputs (a
 # finding there means a hostile or damaged file can crash the server),
 # then the three assembly-vs-reference differential fuzzers (a finding
-# there means a SIMD kernel disagrees with the pure-Go semantics).
+# there means a SIMD kernel disagrees with the pure-Go semantics), then
+# the wire codec: the frame decoders on hostile bodies (no panic, bounded
+# allocation) and the hand-written JSON decoders against encoding/json
+# (a finding there means the public API accepts or decodes a body
+# differently than it did when encoding/json read it).
 fuzz-smoke:
 	$(GO) test ./internal/ivf/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzScanADCDiff -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzFillLUTDiff -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzDotDiff -fuzztime=30s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz=FuzzDecodeFrame -fuzztime=30s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz=FuzzSearchJSONDiff -fuzztime=30s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz=FuzzAddJSONDiff -fuzztime=30s
 
 # The CI bench-smoke job: small-budget benchmark runs recorded as JSON
 # (uploaded as per-PR artifacts in CI; a trajectory, not a gate). The

@@ -1,11 +1,11 @@
 package anna
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,6 +14,7 @@ import (
 
 	"anna/internal/ivf"
 	"anna/internal/wal"
+	"anna/internal/wire"
 )
 
 // Crash-safe durability: a Store pairs an atomic checksummed snapshot
@@ -380,74 +381,42 @@ func (st *Store) Close() error {
 //
 //	kind    uint8 (1 = add batch)
 //	firstID int64
-//	count   uint32, dim uint32
-//	count*dim float32
-const addRecordKind = 1
+//	count   uint32, dim uint32      } the wire package's vector block:
+//	count*dim float32               } one encoder and decoder for WAL and frames
+const (
+	addRecordKind   = 1
+	addRecordHeader = 9 // kind + firstID
+)
 
 func encodeAddRecord(firstID int64, vectors [][]float32) []byte {
 	dim := 0
 	if len(vectors) > 0 {
 		dim = len(vectors[0])
 	}
-	b := make([]byte, 0, 17+4*len(vectors)*dim)
+	b := make([]byte, 0, addRecordHeader+8+4*len(vectors)*dim)
 	b = append(b, addRecordKind)
-	b = binary64(b, uint64(firstID))
-	b = binary32(b, uint32(len(vectors)))
-	b = binary32(b, uint32(dim))
-	for _, v := range vectors {
-		for _, f := range v {
-			b = binary32(b, math.Float32bits(f))
-		}
-	}
-	return b
-}
-
-func binary32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func binary64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
+	return wire.AppendVectorBlock(b, vectors)
 }
 
 func decodeAddRecord(b []byte) (firstID int64, vectors [][]float32, err error) {
-	if len(b) < 17 {
+	if len(b) < addRecordHeader+8 {
 		return 0, nil, fmt.Errorf("%w: %d-byte add record", errBadRecord, len(b))
 	}
 	if b[0] != addRecordKind {
 		return 0, nil, fmt.Errorf("%w: unknown record kind %d", errBadRecord, b[0])
 	}
-	firstID = int64(leU64(b[1:9]))
-	count := leU32(b[9:13])
-	dim := leU32(b[13:17])
-	if firstID < 0 || count == 0 || dim == 0 || dim > 1<<16 {
-		return 0, nil, fmt.Errorf("%w: firstID=%d count=%d dim=%d", errBadRecord, firstID, count, dim)
+	if firstID = int64(binary.LittleEndian.Uint64(b[1:])); firstID < 0 {
+		return 0, nil, fmt.Errorf("%w: firstID=%d", errBadRecord, firstID)
 	}
-	if uint64(len(b)-17) != 4*uint64(count)*uint64(dim) {
-		return 0, nil, fmt.Errorf("%w: %d payload bytes for count=%d dim=%d", errBadRecord, len(b)-17, count, dim)
+	// The block decoder checks the declared shape against the payload
+	// length and refuses non-finite components.
+	vectors, err = wire.DecodeVectorBlock(nil, b[addRecordHeader:], -1)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", errBadRecord, err)
 	}
-	vectors = make([][]float32, count)
-	off := 17
-	for i := range vectors {
-		row := make([]float32, dim)
-		for j := range row {
-			f := math.Float32frombits(leU32(b[off : off+4]))
-			if f64 := float64(f); math.IsNaN(f64) || math.IsInf(f64, 0) {
-				return 0, nil, fmt.Errorf("%w: non-finite component %v in vector %d", errBadRecord, f, i)
-			}
-			row[j] = f
-			off += 4
-		}
-		vectors[i] = row
+	if len(vectors) == 0 {
+		return 0, nil, fmt.Errorf("%w: empty add record", errBadRecord)
 	}
 	return firstID, vectors, nil
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
 }

@@ -408,6 +408,38 @@ func TestAddRecordCodec(t *testing.T) {
 	}
 }
 
+// The add record's vector section is encoded by internal/wire's vector
+// block helpers, shared with the serving frames; the bytes on disk are
+// pinned here so neither use can move them.
+func TestAddRecordGolden(t *testing.T) {
+	got := encodeAddRecord(0x0102030405, [][]float32{{1, -2.5}, {0, 0.5}})
+	want := []byte{
+		1,                                     // kind: add batch
+		0x05, 0x04, 0x03, 0x02, 0x01, 0, 0, 0, // firstID
+		2, 0, 0, 0, // count
+		2, 0, 0, 0, // dim
+		0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x20, 0xc0, // 1, -2.5
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f, // 0, 0.5
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("add record bytes\n got % x\nwant % x", got, want)
+	}
+	firstID, vecs, err := decodeAddRecord(want)
+	if err != nil || firstID != 0x0102030405 || len(vecs) != 2 || vecs[0][1] != -2.5 || vecs[1][1] != 0.5 {
+		t.Fatalf("decoded id=%d vecs=%v err=%v", firstID, vecs, err)
+	}
+	// Refused where the record layout demands it, whatever the block
+	// decoder alone would accept: an empty batch, a negative first ID.
+	empty := append(bytes.Clone(want[:9]), 0, 0, 0, 0, 0, 0, 0, 0)
+	negative := bytes.Clone(want)
+	negative[8] = 0x80
+	for name, b := range map[string][]byte{"empty batch": empty, "negative firstID": negative} {
+		if _, _, err := decodeAddRecord(b); !IsCorrupt(err) {
+			t.Errorf("%s: err = %v, want a corrupt-record error", name, err)
+		}
+	}
+}
+
 // TestDurabilityMetricsExported checks the new instruments appear on
 // /metrics once a store is attached.
 func TestDurabilityMetricsExported(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"anna/internal/qos"
+	"anna/internal/wire"
 )
 
 // fastOpts are shard options tuned so failure tests run in
@@ -253,15 +255,47 @@ func fakeShardSet(t *testing.T, handlers []http.Handler, opt ShardOptions) *Rout
 	return rt
 }
 
-// staticSearchShard answers every query with a fixed local result list.
-func staticSearchShard(results []searchResult) http.Handler {
+// The fake shards are built on wire, like real ones: they decode
+// whichever codec the request's Content-Type names and answer in it, so
+// the same fakes serve a router (frames) and a test poking them by hand
+// (JSON).
+type (
+	searchRequest  = wire.SearchRequest
+	searchResponse = wire.SearchReply
+	searchResult   = wire.Result
+	addRequest     = wire.AddRequest
+	addResponse    = wire.AddReply
+)
+
+// wireShard serves path with serve, which gets the request's codec and
+// body and returns the reply body to send back in that codec.
+func wireShard(path string, serve func(codec wire.Codec, body []byte) ([]byte, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/search" {
+		if r.URL.Path != path {
 			http.NotFound(w, r)
 			return
 		}
+		codec := wire.CodecFor(r.Header.Get("Content-Type"))
+		body, err := io.ReadAll(r.Body)
+		if err == nil {
+			body, err = serve(codec, body)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", codec.ContentType())
+		w.Write(body)
+	})
+}
+
+// staticSearchShard answers every query with a fixed local result list.
+func staticSearchShard(results []searchResult) http.Handler {
+	return wireShard("/search", func(codec wire.Codec, body []byte) ([]byte, error) {
 		var req searchRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		if err := codec.DecodeSearchRequest(&req, body, 1024); err != nil {
+			return nil, err
+		}
 		out := searchResponse{Results: make([][]searchResult, len(req.Queries))}
 		k := req.K
 		if k > len(results) {
@@ -270,7 +304,7 @@ func staticSearchShard(results []searchResult) http.Handler {
 		for q := range out.Results {
 			out.Results[q] = results[:k]
 		}
-		json.NewEncoder(w).Encode(out)
+		return codec.AppendSearchReply(nil, &out)
 	})
 }
 
@@ -381,15 +415,13 @@ func TestRouterRelaysShardValidation(t *testing.T) {
 
 // addShard acks adds with its own local ID counter.
 func addShard(next *atomic.Int64) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/add" {
-			http.NotFound(w, r)
-			return
-		}
+	return wireShard("/add", func(codec wire.Codec, body []byte) ([]byte, error) {
 		var req addRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		if err := codec.DecodeAddRequest(&req, body); err != nil {
+			return nil, err
+		}
 		first := next.Add(int64(len(req.Vectors))) - int64(len(req.Vectors))
-		json.NewEncoder(w).Encode(addResponse{FirstID: first, Count: len(req.Vectors)})
+		return codec.AppendAddReply(nil, addResponse{FirstID: first, Count: len(req.Vectors)}), nil
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,35 +18,13 @@ import (
 	"anna/internal/topk"
 	"anna/internal/trace"
 	"anna/internal/tsdb"
+	"anna/internal/wire"
 )
 
-// Wire types mirroring the annaserve JSON API. The router speaks the
-// same dialect on both sides, so a client cannot tell a router from a
-// single annaserve — except for the X-Anna-* headers it adds.
-type searchRequest struct {
-	Queries [][]float32 `json:"queries"`
-	W       int         `json:"w"`
-	K       int         `json:"k"`
-	Backend string      `json:"backend,omitempty"`
-}
-
-type searchResult struct {
-	ID    int64   `json:"id"`
-	Score float32 `json:"score"`
-}
-
-type searchResponse struct {
-	Results [][]searchResult `json:"results"`
-}
-
-type addRequest struct {
-	Vectors [][]float32 `json:"vectors"`
-}
-
-type addResponse struct {
-	FirstID int64 `json:"first_id"`
-	Count   int   `json:"count"`
-}
+// The router speaks internal/wire on both sides. To its clients it is
+// the annaserve API — JSON by default, frames on request — so a client
+// cannot tell a router from a single annaserve except for the X-Anna-*
+// headers it adds; to its shards it always speaks frames.
 
 // HeaderPartial carries the router's coverage declaration on degraded
 // responses: "shards=k/n" means k of n shards contributed.
@@ -105,16 +84,23 @@ type Config struct {
 	SLOOptions slo.Options
 }
 
+// shardIdleConns is how many idle connections the router's transport
+// keeps per shard. http.DefaultTransport keeps two, so a third
+// concurrent scatter closes and re-dials a connection on every hop; 64
+// covers the concurrency a router sees before its shards saturate.
+const shardIdleConns = 64
+
 // Router is the scatter-gather front door of a sharded cluster. It
 // holds no index state: every query fans out to all shards and every
 // add is routed to one, so the router restarts instantly and can be
 // replicated freely behind a plain load balancer.
 type Router struct {
-	shards   []*Shard
-	stride   int64
-	defaultW int
-	defaultK int
-	maxBatch int
+	shards    []*Shard
+	transport *http.Transport // the shards' connections; nil under Config.Shard.Client
+	stride    int64
+	defaultW  int
+	defaultK  int
+	maxBatch  int
 
 	addRR atomic.Uint64 // round-robin cursor for /add placement
 
@@ -165,6 +151,17 @@ func New(cfg Config) (*Router, error) {
 			"Wall-clock request latency by handler.", nil,
 			metrics.Label{Key: "handler", Value: h})
 	}
+	if cfg.Shard.Client == nil {
+		// One transport per router, shared by its shards and closed with
+		// it, instead of the process-wide default.
+		rt.transport = &http.Transport{MaxIdleConnsPerHost: shardIdleConns}
+		if def, ok := http.DefaultTransport.(*http.Transport); ok {
+			rt.transport = def.Clone()
+			rt.transport.MaxIdleConns = 0 // bounded per shard instead
+			rt.transport.MaxIdleConnsPerHost = shardIdleConns
+		}
+		cfg.Shard.Client = &http.Client{Transport: rt.transport}
+	}
 	for i, base := range cfg.Shards {
 		s := NewShard(i, base, cfg.Shard)
 		rt.shards = append(rt.shards, s)
@@ -211,11 +208,14 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the router's background scraper. The shard clients hold
-// no goroutines of their own.
+// Close stops the router's background scraper and closes its idle shard
+// connections. The shard clients hold no goroutines of their own.
 func (rt *Router) Close() {
 	if rt.db != nil {
 		rt.db.Close()
+	}
+	if rt.transport != nil {
+		rt.transport.CloseIdleConnections()
 	}
 }
 
@@ -280,31 +280,71 @@ func (rt *Router) httpError(w http.ResponseWriter, code int, format string, args
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeReply sends the encoded 200 body of a /search or /add in the codec
+// the client spoke.
+func (rt *Router) writeReply(w http.ResponseWriter, codec wire.Codec, body []byte) {
+	w.Header().Set("Content-Type", codec.ContentType())
+	w.Write(body)
+}
+
+// relay passes a shard's non-200 verdict on verbatim; error bodies are
+// JSON whatever codec the request spoke.
+func relay(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", wire.JSONContentType)
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
 // shardReply is one shard's contribution to a scatter.
 type shardReply struct {
-	shard  int
 	status int
 	body   []byte
 	err    error
 }
 
 // scatter sends the same request to every shard concurrently and
-// returns all replies (indexed by shard). ctx carries the request ID
-// (and trace, when sampled) into every hop.
-func (rt *Router) scatter(ctx context.Context, method, path string, body []byte) []shardReply {
-	replies := make([]shardReply, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s *Shard) {
-			defer wg.Done()
-			status, b, err := s.Do(ctx, method, path, body, true)
-			replies[i] = shardReply{shard: i, status: status, body: b, err: err}
-		}(i, s)
+// returns all replies (indexed by shard) in replies[:0]. ctx carries the
+// request ID (and trace, when sampled) into every hop; check, when set,
+// is each hop's verdict on a 200 body (see Shard.do). The last hop runs
+// on the caller's goroutine: it would only wait for the others anyway.
+func (rt *Router) scatter(ctx context.Context, method, path string, body []byte, check func([]byte) error, replies []shardReply) []shardReply {
+	replies = slices.Grow(replies[:0], len(rt.shards))[:len(rt.shards)]
+	hop := func(i int) {
+		status, b, err := rt.shards[i].do(ctx, method, path, body, true, check)
+		replies[i] = shardReply{status: status, body: b, err: err}
 	}
+	var wg sync.WaitGroup
+	last := len(rt.shards) - 1
+	for i := 0; i < last; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			hop(i)
+		}(i)
+	}
+	hop(last)
 	wg.Wait()
 	return replies
 }
+
+// searchScratch is the pooled working set of one routed /search: the
+// client's body as read, the decoded request, the shards' replies, their
+// decoded rows (views into one arena, already in global IDs), the merged
+// reply and its encoding. The frame sent to the shards is not here: a
+// canceled attempt's transport may still be reading it after the handler
+// has returned.
+type searchScratch struct {
+	body    []byte
+	req     wire.SearchRequest
+	replies []shardReply
+	shard   []wire.SearchReply // decoded replies of the shards that answered
+	arena   []wire.Result
+	lists   [][]wire.Result // one query's rows across shards, for the merge
+	out     wire.SearchReply
+	enc     []byte
+}
+
+var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // handleSearch fans one search out to every shard and merges the
 // per-shard top-k lists into the global top-k. Shards that fail past
@@ -332,7 +372,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if tagged || rt.rec.ShouldSample() {
 		tr = trace.New(reqID)
 		tr.Start = start
-		// Shard.Do records one hop per attempt into this trace, and
+		// Shard.do records one hop per attempt into this trace, and
 		// stamps the wire context on each outbound request so the shards'
 		// own traces stitch under the same ID.
 		ctx = trace.NewContext(ctx, tr)
@@ -345,17 +385,25 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 			rt.rec.Record(tr)
 		}()
 	}
-	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	codec := wire.CodecFor(r.Header.Get("Content-Type"))
+	sc := searchScratchPool.Get().(*searchScratch)
+	defer searchScratchPool.Put(sc)
+	req := &sc.req
+	var err error
+	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
+		err = codec.DecodeSearchRequest(req, sc.body, rt.maxBatch)
+	}
+	if err != nil {
 		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if len(req.Queries) == 0 {
+	nq := len(req.Queries)
+	if nq == 0 {
 		rt.httpError(w, http.StatusBadRequest, "no queries")
 		return
 	}
-	if len(req.Queries) > rt.maxBatch {
-		rt.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), rt.maxBatch)
+	if nq > rt.maxBatch {
+		rt.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", nq, rt.maxBatch)
 		return
 	}
 	// Normalize the knobs before fan-out so every shard answers the
@@ -368,78 +416,76 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		req.K = rt.defaultK
 	}
 	if tr != nil {
-		tr.Queries, tr.W, tr.K = len(req.Queries), req.W, req.K
+		tr.Queries, tr.W, tr.K = nq, req.W, req.K
 	}
-	body, err := json.Marshal(req)
+	// What a frame cannot carry (rows of unequal length, an unknown
+	// backend) no shard would have accepted either.
+	frame, err := wire.AppendSearchRequestFrame(nil, req)
 	if err != nil {
-		rt.httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		rt.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	replies := rt.scatter(ctx, http.MethodPost, "/search", body)
+	sc.replies = rt.scatter(ctx, http.MethodPost, "/search", frame,
+		func(reply []byte) error { return wire.CheckSearchReplyFrame(reply, nq) }, sc.replies)
 
 	// A 4xx from any shard means the request itself is bad (shards are
 	// interchangeable for validation); relay the first one verbatim.
-	for _, rep := range replies {
+	for _, rep := range sc.replies {
 		if rep.err == nil && rep.status >= 400 && rep.status < 500 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(rep.status)
-			w.Write(rep.body)
+			relay(w, rep.status, rep.body)
 			return
 		}
 	}
 
-	// Merge the shards that answered, rewriting shard-local IDs into
-	// their global stripes.
-	lists := make([][][]topk.Result, 0, len(replies)) // per ok shard, per query
-	ok := 0
-	for _, rep := range replies {
+	// Decode the shards that answered straight into the arena, shard-local
+	// IDs rewritten into their global stripes on the way in. A body that
+	// got here passed the hop's check, which is the decoder's own.
+	shards := slices.Grow(sc.shard[:0], len(sc.replies))[:len(sc.replies)]
+	arena, ok := sc.arena[:0], 0
+	for i, rep := range sc.replies {
 		if rep.err != nil || rep.status != http.StatusOK {
 			continue
 		}
-		var sr searchResponse
-		if err := json.Unmarshal(rep.body, &sr); err != nil || len(sr.Results) != len(req.Queries) {
-			continue // malformed reply = failed shard, coverage drops
+		if arena, err = wire.DecodeSearchReplyFrame(&shards[ok], rep.body, int64(i)*rt.stride, arena); err == nil {
+			ok++
 		}
-		perQuery := make([][]topk.Result, len(req.Queries))
-		base := int64(rep.shard) * rt.stride
-		for q, results := range sr.Results {
-			rs := make([]topk.Result, len(results))
-			for j, res := range results {
-				rs[j] = topk.Result{ID: base + res.ID, Score: res.Score}
-			}
-			perQuery[q] = rs
-		}
-		lists = append(lists, perQuery)
-		ok++
 	}
+	sc.shard, sc.arena = shards[:ok], arena
 	if ok == 0 {
 		rt.unservable.Inc()
 		rt.httpError(w, http.StatusBadGateway, "no shard reachable (0/%d)", len(rt.shards))
 		return
 	}
 
-	resp := searchResponse{Results: make([][]searchResult, len(req.Queries))}
-	merge := make([][]topk.Result, len(lists))
-	for q := range req.Queries {
-		for i, perQuery := range lists {
-			merge[i] = perQuery[q]
+	out := slices.Grow(sc.out.Results[:0], nq)
+	lists := slices.Grow(sc.lists[:0], ok)[:ok]
+	for q := 0; q < nq; q++ {
+		for i := range sc.shard {
+			lists[i] = sc.shard[i].Results[q]
 		}
-		merged := topk.Merge(req.K, merge...)
-		out := make([]searchResult, len(merged))
-		for j, m := range merged {
-			out[j] = searchResult{ID: m.ID, Score: m.Score}
-		}
-		resp.Results[q] = out
+		out = append(out, topk.Merge(req.K, lists...))
 	}
+	sc.out.Results, sc.lists = out, lists
 
 	if ok < len(rt.shards) {
 		w.Header().Set(HeaderPartial, fmt.Sprintf("shards=%d/%d", ok, len(rt.shards)))
 		rt.partials.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	if sc.enc, err = codec.AppendSearchReply(sc.enc[:0], &sc.out); err != nil {
+		rt.logger.Error("encoding response failed", "err", err)
+	}
+	rt.writeReply(w, codec, sc.enc)
 }
+
+// addScratch is the pooled working set of one routed /add.
+type addScratch struct {
+	body []byte
+	req  wire.AddRequest
+	enc  []byte
+}
+
+var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
 
 // handleAdd routes one add batch to a single owning shard. The shard's
 // WAL-before-ack pipeline is preserved end to end: the router acks only
@@ -459,8 +505,15 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(HeaderRequestID, reqID)
 	ctx := WithRequestID(r.Context(), reqID)
-	var req addRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	codec := wire.CodecFor(r.Header.Get("Content-Type"))
+	sc := addScratchPool.Get().(*addScratch)
+	defer addScratchPool.Put(sc)
+	req := &sc.req
+	var err error
+	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
+		err = codec.DecodeAddRequest(req, sc.body)
+	}
+	if err != nil {
 		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -468,15 +521,17 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 		rt.httpError(w, http.StatusBadRequest, "no vectors")
 		return
 	}
-	body, err := json.Marshal(req)
+	// Like the search frame, fresh per request: a timed-out add's
+	// transport may outlive the handler.
+	frame, err := wire.AppendAddRequestFrame(nil, req)
 	if err != nil {
-		rt.httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		rt.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := int(rt.addRR.Add(1)-1) % len(rt.shards)
 	for off := 0; off < len(rt.shards); off++ {
 		s := rt.shards[(start+off)%len(rt.shards)]
-		status, b, err := s.Do(ctx, http.MethodPost, "/add", body, false)
+		status, b, err := s.Do(ctx, http.MethodPost, "/add", frame, false)
 		if err != nil {
 			if r.Context().Err() != nil {
 				rt.httpError(w, http.StatusGatewayTimeout, "add canceled: %v", err)
@@ -498,13 +553,11 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 		if status != http.StatusOK {
 			// Relay the shard's verdict (400 bad vectors, 429, 5xx...).
 			w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			w.Write(b)
+			relay(w, status, b)
 			return
 		}
-		var ar addResponse
-		if err := json.Unmarshal(b, &ar); err != nil {
+		ar, err := wire.DecodeAddReplyFrame(b)
+		if err != nil {
 			rt.httpError(w, http.StatusBadGateway, "shard %d add reply: %v", s.Index, err)
 			return
 		}
@@ -515,8 +568,8 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 		ar.FirstID += int64(s.Index) * rt.stride
 		w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(ar)
+		sc.enc = codec.AppendAddReply(sc.enc[:0], ar)
+		rt.writeReply(w, codec, sc.enc)
 		return
 	}
 	rt.unservable.Inc()
@@ -530,7 +583,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	replies := rt.scatter(r.Context(), http.MethodGet, "/stats", nil)
+	replies := rt.scatter(r.Context(), http.MethodGet, "/stats", nil, nil, nil)
 	total := 0
 	shards := make([]map[string]any, len(replies))
 	for i, rep := range replies {

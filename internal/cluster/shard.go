@@ -15,6 +15,7 @@ import (
 
 	"anna/internal/qos"
 	"anna/internal/trace"
+	"anna/internal/wire"
 )
 
 // ErrShardDown is returned when a shard's circuit breaker is open (or
@@ -78,7 +79,9 @@ type ShardOptions struct {
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// Client overrides the HTTP client (tests). Per-attempt deadlines
-	// still come from Timeout/AddTimeout via context.
+	// still come from Timeout/AddTimeout via context. Left nil, a Router
+	// gives its shards one client over a transport of its own (see New);
+	// a Shard made on its own falls back to http.DefaultClient.
 	Client *http.Client
 }
 
@@ -104,7 +107,7 @@ func (o ShardOptions) withDefaults() ShardOptions {
 		o.HedgeMax = 10 * o.HedgeAfter
 	}
 	if o.Client == nil {
-		o.Client = &http.Client{}
+		o.Client = http.DefaultClient
 	}
 	return o
 }
@@ -227,7 +230,18 @@ func (r result) bad() bool { return r.err != nil || r.status >= 500 }
 // breaker fast-fail, per-attempt timeout, hedging (idempotent only),
 // budgeted retries with jittered backoff. It returns the final status
 // and body; err is non-nil only when no response was obtained at all.
+// A body, when there is one, is a wire frame and is labelled as such:
+// shards are the same binary as the router and speak frames.
 func (s *Shard) Do(ctx context.Context, method, path string, body []byte, idempotent bool) (int, []byte, error) {
+	return s.do(ctx, method, path, body, idempotent, nil)
+}
+
+// do is Do with a verdict on 200 bodies: a reply check refuses is a
+// failed attempt like a truncated body is — counted in Failures, fed to
+// the breaker, recorded with its error on the attempt's hop, retried
+// within the budget — instead of a success the caller then cannot use.
+// check runs on attempt goroutines, concurrently under hedging.
+func (s *Shard) do(ctx context.Context, method, path string, body []byte, idempotent bool, check func(reply []byte) error) (int, []byte, error) {
 	if !s.breaker.Allow() {
 		s.stats.FastFails.Add(1)
 		if tr := trace.FromContext(ctx); tr != nil {
@@ -251,7 +265,7 @@ func (s *Shard) Do(ctx context.Context, method, path string, body []byte, idempo
 	}
 	var last result
 	for try := 0; ; try++ {
-		last = s.attempt(ctx, method, path, body, idempotent, try)
+		last = s.attempt(ctx, method, path, body, idempotent, try, check)
 		if !last.bad() {
 			s.breaker.Success()
 			return last.status, last.body, nil
@@ -278,7 +292,7 @@ func (s *Shard) Do(ctx context.Context, method, path string, body []byte, idempo
 // enabled and the primary is slow — a primary/hedge race where the
 // first acceptable response wins and the loser is canceled. try numbers
 // logical tries from 0 and shapes the recorded hop kind.
-func (s *Shard) attempt(ctx context.Context, method, path string, body []byte, idempotent bool, try int) result {
+func (s *Shard) attempt(ctx context.Context, method, path string, body []byte, idempotent bool, try int, check func([]byte) error) result {
 	tr := trace.FromContext(ctx)
 	kind := "primary"
 	if try > 0 {
@@ -286,7 +300,7 @@ func (s *Shard) attempt(ctx context.Context, method, path string, body []byte, i
 	}
 	if !idempotent || s.opt.HedgeAfter <= 0 {
 		start := time.Now()
-		r := s.once(ctx, method, path, body, idempotent)
+		r := s.once(ctx, method, path, body, idempotent, check)
 		s.recordHop(tr, r, kind, try+1, start, !r.bad())
 		return r
 	}
@@ -305,7 +319,7 @@ func (s *Shard) attempt(ctx context.Context, method, path string, body []byte, i
 	ch := make(chan raced, 2)
 	launch := func(k string) {
 		st := time.Now()
-		ch <- raced{res: s.once(actx, method, path, body, idempotent), kind: k, start: st}
+		ch <- raced{res: s.once(actx, method, path, body, idempotent, check), kind: k, start: st}
 	}
 	go launch(kind)
 	outstanding := 1
@@ -381,7 +395,7 @@ func (s *Shard) hedgeDelay() time.Duration {
 }
 
 // once sends exactly one HTTP request with its own per-attempt deadline.
-func (s *Shard) once(ctx context.Context, method, path string, body []byte, idempotent bool) result {
+func (s *Shard) once(ctx context.Context, method, path string, body []byte, idempotent bool, check func([]byte) error) result {
 	timeout := s.opt.Timeout
 	if !idempotent {
 		timeout = s.opt.AddTimeout
@@ -397,7 +411,7 @@ func (s *Shard) once(ctx context.Context, method, path string, body []byte, idem
 		return result{err: err}
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", wire.FrameContentType)
 	}
 	if id := RequestIDFrom(ctx); id != "" {
 		req.Header.Set(HeaderRequestID, id)
@@ -415,12 +429,17 @@ func (s *Shard) once(ctx context.Context, method, path string, body []byte, idem
 		return result{err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := wire.ReadBody(nil, resp.Body, resp.ContentLength)
 	if err != nil {
 		// A truncated body (connection cut mid-response) is a failed
 		// attempt even with a 200 status line — callers must never see
 		// half a response.
 		return result{err: fmt.Errorf("cluster: reading %s%s response: %w", s.Base, path, err)}
+	}
+	if resp.StatusCode == http.StatusOK && check != nil {
+		if err := check(b); err != nil {
+			return result{status: resp.StatusCode, body: b, err: fmt.Errorf("cluster: %s%s reply: %w", s.Base, path, err)}
+		}
 	}
 	if resp.StatusCode < 500 {
 		s.lat.observe(time.Since(start))

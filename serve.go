@@ -23,6 +23,7 @@ import (
 	"anna/internal/slo"
 	"anna/internal/trace"
 	"anna/internal/tsdb"
+	"anna/internal/wire"
 )
 
 // Server wraps an Index behind an HTTP JSON API — the deployment shape
@@ -32,6 +33,9 @@ import (
 //	POST /search  {"queries": [[...]], "w": 32, "k": 10}
 //	              -> {"results": [[{"id":..,"score":..},...]]}
 //	POST /add     {"vectors": [[...]]} -> {"first_id": N, "count": M}
+//	              (both also speak internal/wire's binary frames: a request
+//	              with Content-Type application/x-anna-frame is answered
+//	              in kind; errors are JSON either way)
 //	GET  /stats   -> index statistics + serving latency quantiles
 //	POST /admin/snapshot -> checkpoint the index and trim the WAL
 //	              (requires a Store; see below)
@@ -823,28 +827,6 @@ func searchErrStatus(err error) int {
 	}
 }
 
-type searchRequest struct {
-	Queries [][]float32 `json:"queries"`
-	W       int         `json:"w"`
-	K       int         `json:"k"`
-	// Backend selects "software" (default) or "anna" (the simulated
-	// accelerator; requires Server.Accelerator).
-	Backend string `json:"backend"`
-}
-
-type searchResult struct {
-	ID    int64   `json:"id"`
-	Score float32 `json:"score"`
-}
-
-type searchResponse struct {
-	Results [][]searchResult `json:"results"`
-	// Simulated-accelerator cost, present for backend "anna".
-	Cycles       int64   `json:"cycles,omitempty"`
-	TrafficBytes int64   `json:"traffic_bytes,omitempty"`
-	ChipEnergyJ  float64 `json:"chip_energy_j,omitempty"`
-}
-
 // admit reserves an in-flight slot, or reports overload.
 func (s *Server) admit() bool {
 	if s.MaxInFlight <= 0 {
@@ -863,43 +845,46 @@ func (s *Server) admit() bool {
 const requestIDHeader = "X-Request-ID"
 
 // searchScratch is the pooled per-request working set of handleSearch:
-// the decoded request (inner query buffers included), the cache keys of
-// the misses (built for the lookup, reused for the store), the per-query
-// row table, and the response arena. Everything
-// that outlives the request copies out of these buffers (the batcher
-// and cache copy queries; the response is encoded before the handler
-// returns), so the whole set recycles alloc-free.
+// the request body as read, the decoded request (inner query buffers
+// included), the cache keys of the misses (built for the lookup, reused
+// for the store), the per-query row table, the response arena and the
+// encoded reply. Everything that outlives the request copies out of
+// these buffers (the batcher and cache copy queries; the reply is
+// written before the handler returns), so the whole set recycles
+// alloc-free.
 type searchScratch struct {
-	req    searchRequest
+	body   []byte
+	req    wire.SearchRequest
 	keys   []byte // cache keys of the misses, concatenated
 	keyEnd []int  // keyEnd[j]: end of miss j's key in keys
 	rows   []servedRow
 	miss   [][]float32
 	missAt []int
-	out    [][]searchResult
-	arena  []searchResult
+	out    [][]wire.Result
+	arena  []wire.Result
+	enc    []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // appendResults builds the response rows in sc's pooled arena.
-func appendResults(sc *searchScratch, rows []servedRow) [][]searchResult {
+func appendResults(sc *searchScratch, rows []servedRow) [][]wire.Result {
 	total := 0
 	for _, r := range rows {
 		total += len(r.res)
 	}
 	if cap(sc.arena) < total {
-		sc.arena = make([]searchResult, 0, total)
+		sc.arena = make([]wire.Result, 0, total)
 	}
 	arena := sc.arena[:0]
 	if cap(sc.out) < len(rows) {
-		sc.out = make([][]searchResult, len(rows))
+		sc.out = make([][]wire.Result, len(rows))
 	}
 	out := sc.out[:len(rows)]
 	for i, r := range rows {
 		lo := len(arena)
 		for _, res := range r.res {
-			arena = append(arena, searchResult{ID: res.ID, Score: res.Score})
+			arena = append(arena, wire.Result{ID: res.ID, Score: res.Score})
 		}
 		out[i] = arena[lo:len(arena):len(arena)]
 	}
@@ -947,15 +932,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(requestIDHeader, reqID)
 	tnt := s.tenantFor(r)
 
+	// The request's exact Content-Type picks the codec, and a 200 is
+	// answered in it; the decoder resets the pooled request and reuses its
+	// query buffers.
+	codec := wire.CodecFor(r.Header.Get("Content-Type"))
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
 	req := &sc.req
-	// The decoder leaves absent fields untouched, so reset what the
-	// previous request may have set; the query buffers are kept for
-	// reuse.
-	req.Queries = req.Queries[:0]
-	req.W, req.K, req.Backend = 0, 0, ""
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	var err error
+	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
+		err = codec.DecodeSearchRequest(req, sc.body, s.MaxBatch)
+	}
+	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -1034,7 +1022,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.NewContext(ctx, tr)
 	}
 
-	var resp searchResponse
+	var resp wire.SearchReply
 	switch req.Backend {
 	case "", "software":
 		dim := s.idx.Dim()
@@ -1185,12 +1173,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	finish(http.StatusOK)
-	s.writeJSON(w, resp)
+	if sc.enc, err = codec.AppendSearchReply(sc.enc[:0], &resp); err != nil {
+		s.slogger().Error("encoding response failed", "err", err)
+	}
+	s.writeReply(w, codec, sc.enc)
 }
 
 // slowTrace reconstructs a trace for a request that missed sampling but
 // crossed the slow threshold.
-func (s *Server) slowTrace(id string, start time.Time, req *searchRequest, backend string) *trace.Trace {
+func (s *Server) slowTrace(id string, start time.Time, req *wire.SearchRequest, backend string) *trace.Trace {
 	tr := trace.New(id)
 	tr.Start = start
 	tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
@@ -1252,34 +1243,43 @@ func (s *Server) recordSearch(nq int, rep *BatchReport, adaptOn bool) {
 	}
 }
 
-func toSearchResults(in [][]Result) [][]searchResult {
-	out := make([][]searchResult, len(in))
+func toSearchResults(in [][]Result) [][]wire.Result {
+	out := make([][]wire.Result, len(in))
 	for i, rs := range in {
-		row := make([]searchResult, len(rs))
+		row := make([]wire.Result, len(rs))
 		for j, res := range rs {
-			row[j] = searchResult{ID: res.ID, Score: res.Score}
+			row[j] = wire.Result{ID: res.ID, Score: res.Score}
 		}
 		out[i] = row
 	}
 	return out
 }
 
-type addRequest struct {
-	Vectors [][]float32 `json:"vectors"`
+// addScratch is the pooled working set of handleAdd. The index and the
+// WAL both copy the vectors before Add returns, so the decoded batch can
+// be recycled.
+type addScratch struct {
+	body []byte
+	req  wire.AddRequest
+	enc  []byte
 }
 
-type addResponse struct {
-	FirstID int64 `json:"first_id"`
-	Count   int   `json:"count"`
-}
+var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req addRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	codec := wire.CodecFor(r.Header.Get("Content-Type"))
+	sc := addScratchPool.Get().(*addScratch)
+	defer addScratchPool.Put(sc)
+	req := &sc.req
+	var err error
+	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
+		err = codec.DecodeAddRequest(req, sc.body)
+	}
+	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -1327,7 +1327,8 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.added.Add(uint64(len(req.Vectors)))
-	s.writeJSON(w, addResponse{FirstID: first, Count: len(req.Vectors)})
+	sc.enc = codec.AppendAddReply(sc.enc[:0], wire.AddReply{FirstID: first, Count: len(req.Vectors)})
+	s.writeReply(w, codec, sc.enc)
 
 	if s.Store != nil && s.SnapshotEvery > 0 &&
 		s.addedSince.Add(int64(len(req.Vectors))) >= int64(s.SnapshotEvery) {
@@ -1546,6 +1547,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, resp)
+}
+
+// writeReply sends the encoded 200 body of a /search or /add in the codec
+// the request spoke. An empty body is a reply that failed to encode (the
+// caller logged why): the status line still goes out, as it always has.
+func (s *Server) writeReply(w http.ResponseWriter, codec wire.Codec, body []byte) {
+	w.Header().Set("Content-Type", codec.ContentType())
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.slogger().Error("writing response failed", "err", err)
+	}
 }
 
 // writeJSON sends v with a 200. The Content-Type header is set before

@@ -234,10 +234,11 @@ func TestConcurrentSearchAddUnderBatcher(t *testing.T) {
 }
 
 // The pooled-scratch pin: a single-query request on the direct path
-// stays within a bounded allocation budget. The bound is far below the
-// pre-pooling cost (every request allocated its decode buffers, row
-// tables, and response arena fresh) but leaves headroom for the
-// engine's own per-batch allocations.
+// stays within a bounded allocation budget: 71 measured, of which the
+// wire codec contributes none (the reflective JSON decode and encode it
+// replaced cost 11: 82 before). The bound holds under -race, where
+// sync.Pool drops a quarter of its Puts and the scratch is rebuilt that
+// often (76–78 measured), and fails at the count before internal/wire.
 func TestSearchAllocsPerRequest(t *testing.T) {
 	idx, base, _ := buildTestIndex(t, L2, 16)
 	s := NewServer(idx)
@@ -264,13 +265,13 @@ func TestSearchAllocsPerRequest(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, run)
 	t.Logf("allocs per /search request: %.1f", avg)
-	if avg > 120 {
-		t.Errorf("allocs per request %.1f, want <= 120 (scratch pooling regressed)", avg)
+	if avg > 80 {
+		t.Errorf("allocs per request %.1f, want <= 80 (scratch pooling or the wire codec regressed)", avg)
 	}
 }
 
 // Cache hits skip the engine entirely, so their allocation budget is
-// tighter still.
+// tighter still: 32 measured (43 before internal/wire; 36–39 under -race).
 func TestSearchAllocsCacheHit(t *testing.T) {
 	idx, base, _ := buildTestIndex(t, L2, 16)
 	s := NewServer(idx)
@@ -299,8 +300,8 @@ func TestSearchAllocsCacheHit(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, run)
 	t.Logf("allocs per cache-hit request: %.1f", avg)
-	if avg > 60 {
-		t.Errorf("allocs per cache-hit request %.1f, want <= 60", avg)
+	if avg > 41 {
+		t.Errorf("allocs per cache-hit request %.1f, want <= 41", avg)
 	}
 }
 

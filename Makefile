@@ -4,7 +4,7 @@
 GO ?= go
 PAIRS ?= 10
 
-.PHONY: all build test test-noasm bench-test bench-ab race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
+.PHONY: all build test test-noasm bench-test bench-ab race check bench benchall vet fmt fmt-check check-orphans bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
 
 all: build vet test
 
@@ -41,7 +41,7 @@ race:
 # (Two exceptions stay CI-only: lint resolves staticcheck over the
 # network, and the qemu arm64 cross-test job apt-installs its emulator.
 # ci-cross covers the same platforms' compile half offline.)
-ci: fmt-check build vet test test-noasm bench-test ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
+ci: fmt-check check-orphans build vet test test-noasm bench-test ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
 
 # The CI cross-compile job: build and vet every supported platform. The
 # assembly is amd64-only, so this proves the fallback dispatch and build
@@ -64,6 +64,11 @@ lint:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Every internal package must have a non-test importer besides itself
+# (see the script); keeps packages nothing calls from accumulating.
+check-orphans:
+	sh scripts/check_orphans.sh
 
 # The CI race job: engine worker pool, fused scan path, parallel
 # build/ingest pipeline (kmeans, pq batch encoder, ivf build), metrics
@@ -118,7 +123,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/engine/... ./internal/ivf/... ./internal/adaptive/...
 
-# Run the benchmark suites and record before/after figures: the CPU
+# Run the benchmark suites and record their figures: the CPU
 # engine in BENCH_engine.json, the build/ingest pipeline (train + batch
 # encode) in BENCH_build.json, and whole-server latency-vs-QPS curves
 # (annaload closed-loop sweep, baseline vs batched+cached) in

@@ -184,12 +184,7 @@ func (a *Accelerator) report(res *iacc.Result) *SimReport {
 		"scan":   int64(res.Phases.Scan),
 		"merge":  int64(res.Phases.Merge),
 	}
-	if res.PerQuery != nil {
-		rep.Results = make([][]Result, len(res.PerQuery))
-		for i, rs := range res.PerQuery {
-			rep.Results[i] = toResults(rs)
-		}
-	}
+	rep.Results = res.PerQuery
 	for _, sp := range res.Trace {
 		rep.Timeline = append(rep.Timeline, TimelineSpan{
 			Unit: sp.Resource, Work: sp.Label,

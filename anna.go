@@ -43,12 +43,10 @@ func (m Metric) internal() pq.Metric {
 	return pq.L2
 }
 
-// Result is one scored neighbor. Score follows the larger-is-more-similar
-// convention for both metrics.
-type Result struct {
-	ID    int64
-	Score float32
-}
+// Result is one scored neighbor (fields ID int64 and Score float32).
+// Score follows the larger-is-more-similar convention for both metrics.
+// It is the engine's own result type, so rows cross the API uncopied.
+type Result = topk.Result
 
 // BuildOptions configure index construction.
 type BuildOptions struct {
@@ -265,7 +263,7 @@ func (x *Index) Stats() Stats {
 // invalid parameters, matching slice-indexing conventions for programmer
 // errors.
 func (x *Index) Search(query []float32, w, k int) []Result {
-	return toResults(x.inner.Search(query, ivf.SearchParams{W: w, K: k}))
+	return x.inner.Search(query, ivf.SearchParams{W: w, K: k})
 }
 
 // SearchRerank runs the PQ search for k*factor candidates and re-scores
@@ -280,7 +278,7 @@ func (x *Index) SearchRerank(query []float32, w, k, factor int) ([]Result, error
 	if len(query) != x.inner.D {
 		return nil, fmt.Errorf("anna: query dim %d, index dim %d", len(query), x.inner.D)
 	}
-	return toResults(x.inner.SearchRerank(query, ivf.SearchParams{W: w, K: k}, factor)), nil
+	return x.inner.SearchRerank(query, ivf.SearchParams{W: w, K: k}, factor), nil
 }
 
 // SearchMode selects the batch execution discipline (Section II-D /
@@ -297,37 +295,13 @@ const (
 )
 
 // AdaptiveOptions are the per-query effort policies of the adaptive
-// search layer (see docs/ARCHITECTURE.md §4j). The zero value disables
-// both policies, leaving SearchBatch bit-identical to the fixed path.
-type AdaptiveOptions struct {
-	// StopPatience > 0 stops each query's cluster scan once its running
-	// kth score has gone this many consecutive clusters without
-	// improving; 0 scans all W clusters.
-	StopPatience int
-	// MinClusters is the per-query floor below which early termination
-	// is never taken (values < 1 behave as 1).
-	MinClusters int
-	// EscalateFactor > 1 enables precision escalation: the PQ scan
-	// keeps K*EscalateFactor candidates and the margin band among them
-	// is re-scored in float32 against the SQ8 reconstructions. Requires
-	// an index built with RetainForRerank (silently ignored otherwise).
-	EscalateFactor int
-	// Margin sets the escalation band width as a fraction of the wide
-	// candidate list's score spread; 0 re-scores only the top K.
-	Margin float32
-}
-
-// Enabled reports whether either adaptive policy is active.
-func (a AdaptiveOptions) Enabled() bool { return a.StopPatience > 0 || a.EscalateFactor > 1 }
-
-func (a AdaptiveOptions) internal() adaptive.Params {
-	return adaptive.Params{
-		StopPatience:   a.StopPatience,
-		MinClusters:    a.MinClusters,
-		EscalateFactor: a.EscalateFactor,
-		Margin:         a.Margin,
-	}
-}
+// search layer (see docs/ARCHITECTURE.md §4j): StopPatience and
+// MinClusters steer early termination of the cluster scan,
+// EscalateFactor and Margin the SQ8 precision escalation (which needs an
+// index built with RetainForRerank and is silently ignored otherwise).
+// The zero value disables both policies, leaving SearchBatch
+// bit-identical to the fixed path.
+type AdaptiveOptions = adaptive.Params
 
 // SearchOptions configure SearchBatch.
 type SearchOptions struct {
@@ -400,7 +374,7 @@ func (x *Index) SearchBatchContext(ctx context.Context, queries [][]float32, opt
 	rep, err := x.engine().RunContext(ctx, qm, engine.Options{
 		Mode: mode, W: opt.W, K: opt.K,
 		Workers: opt.Workers, HWF16: opt.HardwareFaithful,
-		Adaptive: opt.Adaptive.internal(),
+		Adaptive: opt.Adaptive,
 	})
 	if err != nil {
 		return nil, err
@@ -416,10 +390,7 @@ func (x *Index) SearchBatchContext(ctx context.Context, queries [][]float32, opt
 		ClustersScanned:  rep.ClustersScanned,
 		Escalations:      rep.Escalations,
 		RerankTime:       rep.RerankTime,
-		Results:          make([][]Result, len(rep.Results)),
-	}
-	for i, rs := range rep.Results {
-		out.Results[i] = toResults(rs)
+		Results:          rep.Results,
 	}
 	return out, nil
 }
@@ -434,9 +405,6 @@ func (x *Index) Save(w io.Writer) error { return x.inner.Save(w) }
 // same directory is written, fsynced, and renamed over path, so a crash
 // mid-save never leaves a truncated index behind.
 func (x *Index) SaveFile(path string) error { return x.inner.SaveFile(path) }
-
-// SaveIndexFile writes x to path atomically (see Index.SaveFile).
-func SaveIndexFile(x *Index, path string) error { return x.SaveFile(path) }
 
 // LoadIndex reads an index written by Save.
 func LoadIndex(r io.Reader) (*Index, error) {
@@ -467,23 +435,11 @@ func ExactSearch(vectors [][]float32, metric Metric, query []float32, k int) ([]
 	if len(query) != m.Cols {
 		return nil, fmt.Errorf("anna: query dim %d, data dim %d", len(query), m.Cols)
 	}
-	return toResults(exact.New(metric.internal(), m).Search(query, k)), nil
+	return exact.New(metric.internal(), m).Search(query, k), nil
 }
 
 // Recall computes recall X@Y: of the x true neighbors, the fraction
 // present among the first y returned candidates.
 func Recall(x, y int, truth []int64, got []Result) float64 {
-	rs := make([]topk.Result, len(got))
-	for i, r := range got {
-		rs[i] = topk.Result{ID: r.ID, Score: r.Score}
-	}
-	return recall.XAtY(x, y, truth, rs)
-}
-
-func toResults(rs []topk.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Score: r.Score}
-	}
-	return out
+	return recall.XAtY(x, y, truth, got)
 }

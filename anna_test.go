@@ -2,7 +2,9 @@ package anna
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -136,6 +138,44 @@ func TestSearchBatchModesAgree(t *testing.T) {
 	if b.ListBytesTouched >= a.ListBytesTouched {
 		t.Errorf("cluster-major did not reduce bytes: %d vs %d",
 			b.ListBytesTouched, a.ListBytesTouched)
+	}
+}
+
+// K is clamped to the vector count, as W is to the cluster count: a K no
+// index could fill returns exactly the K = Len() rows, in both
+// disciplines and under escalation (whose K*EscalateFactor is clamped
+// too), instead of sizing its arenas from the request.
+func TestSearchBatchClampsK(t *testing.T) {
+	base := clusteredVectors(400, 16, 8, 1)
+	idx, err := BuildIndex(base, L2, BuildOptions{NClusters: 8, M: 4, Ks: 16, TrainIters: 4, Seed: 3, RetainForRerank: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := base[:4]
+	for name, opt := range map[string]SearchOptions{
+		"query-at-a-time": {W: 8, Mode: QueryAtATime},
+		"cluster-major":   {W: 8, Mode: ClusterMajor},
+		"escalating":      {W: 8, Adaptive: AdaptiveOptions{EscalateFactor: math.MaxInt32, Margin: 1}},
+	} {
+		opt.K = idx.Len()
+		want, err := idx.SearchBatch(queries, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.K = math.MaxInt
+		got, err := idx.SearchBatch(queries, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range queries {
+			if len(want.Results[qi]) != idx.Len() || !slices.Equal(got.Results[qi], want.Results[qi]) {
+				t.Fatalf("%s q%d: %d rows at K=MaxInt, %d at K=Len()=%d, or they differ",
+					name, qi, len(got.Results[qi]), len(want.Results[qi]), idx.Len())
+			}
+		}
+	}
+	if got := idx.Search(queries[0], 8, math.MaxInt); len(got) != idx.Len() {
+		t.Fatalf("Search at K=MaxInt: %d rows, want %d", len(got), idx.Len())
 	}
 }
 

@@ -369,28 +369,27 @@ func parseFloats(s string) ([]float64, error) {
 
 func main() {
 	var (
-		addr        = flag.String("addr", "", "target server base URL (empty = self-host a synthetic index in-process)")
-		mode        = flag.String("mode", "closed", `load model: "closed" (N workers, 1 in flight each) or "open" (fixed arrival rate)`)
-		duration    = flag.Duration("duration", 2*time.Second, "measurement window per load level")
-		concLevels  = flag.String("concurrency", "1,4,16,32,64", "closed-loop worker counts to sweep")
-		qpsLevels   = flag.String("qps", "500,2000,8000", "open-loop arrival rates to sweep")
-		zipf        = flag.Float64("zipf", 1.1, "query popularity skew: Zipf exponent, <=1 for uniform")
-		pool        = flag.Int("pool", 2048, "distinct queries in the traffic pool")
-		tenantMix   = flag.String("tenant-mix", "", `traffic tenant mix "key:weight,key:weight" (empty = anonymous)`)
-		tenantSpec  = flag.String("tenants", "", "self-host server tenant config (qos.ParseTenants syntax)")
-		nBase       = flag.Int("n", 50000, "self-host: database vectors")
-		dim         = flag.Int("d", 64, "self-host: dimensionality")
-		clusters    = flag.Int("clusters", 64, "self-host: coarse clusters")
-		w           = flag.Int("w", 32, "clusters inspected per query")
-		k           = flag.Int("k", 10, "results per query")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "self-host: deprecated, the duration is ignored; negative disables the batcher of the batched config")
-		cacheSize   = flag.Int("cache", 4096, "self-host: result-cache entries of the batched config")
-		noBaseline  = flag.Bool("no-baseline", false, "self-host: skip the unbatched/uncached baseline curve")
-		adaptiveOn  = flag.Bool("adaptive", false, "self-host: also sweep an adaptive-effort config (early termination, batcher and cache disabled) against the baseline")
-		stopPat     = flag.Int("stop-patience", 4, "adaptive config: stop a query's scan after this many non-improving clusters")
-		router      = flag.Int("router", 0, "self-host: also sweep a cluster of this many shards (corpus split evenly) behind the scatter-gather router (0 = skip)")
-		seed        = flag.Int64("seed", 1, "workload seed")
-		out         = flag.String("out", "", "write the JSON document here (empty = stdout)")
+		addr       = flag.String("addr", "", "target server base URL (empty = self-host a synthetic index in-process)")
+		mode       = flag.String("mode", "closed", `load model: "closed" (N workers, 1 in flight each) or "open" (fixed arrival rate)`)
+		duration   = flag.Duration("duration", 2*time.Second, "measurement window per load level")
+		concLevels = flag.String("concurrency", "1,4,16,32,64", "closed-loop worker counts to sweep")
+		qpsLevels  = flag.String("qps", "500,2000,8000", "open-loop arrival rates to sweep")
+		zipf       = flag.Float64("zipf", 1.1, "query popularity skew: Zipf exponent, <=1 for uniform")
+		pool       = flag.Int("pool", 2048, "distinct queries in the traffic pool")
+		tenantMix  = flag.String("tenant-mix", "", `traffic tenant mix "key:weight,key:weight" (empty = anonymous)`)
+		tenantSpec = flag.String("tenants", "", "self-host server tenant config (qos.ParseTenants syntax)")
+		nBase      = flag.Int("n", 50000, "self-host: database vectors")
+		dim        = flag.Int("d", 64, "self-host: dimensionality")
+		clusters   = flag.Int("clusters", 64, "self-host: coarse clusters")
+		w          = flag.Int("w", 32, "clusters inspected per query")
+		k          = flag.Int("k", 10, "results per query")
+		cacheSize  = flag.Int("cache", 4096, "self-host: result-cache entries of the batched config")
+		noBaseline = flag.Bool("no-baseline", false, "self-host: skip the unbatched/uncached baseline curve")
+		adaptiveOn = flag.Bool("adaptive", false, "self-host: also sweep an adaptive-effort config (early termination, batcher and cache disabled) against the baseline")
+		stopPat    = flag.Int("stop-patience", 4, "adaptive config: stop a query's scan after this many non-improving clusters")
+		router     = flag.Int("router", 0, "self-host: also sweep a cluster of this many shards (corpus split evenly) behind the scatter-gather router (0 = skip)")
+		seed       = flag.Int64("seed", 1, "workload seed")
+		out        = flag.String("out", "", "write the JSON document here (empty = stdout)")
 	)
 	flag.Parse()
 	fatal := func(format string, args ...any) {
@@ -476,10 +475,9 @@ func main() {
 			s.TraceSampleEvery = -1
 			s.SlowQuery = -1
 			if batched {
-				s.BatchWindow = *batchWindow
 				s.CacheSize = *cacheSize
 			} else {
-				s.BatchWindow, s.CacheSize = -1, -1
+				s.BatchMaxConcurrent, s.CacheSize = -1, -1
 			}
 			if *tenantSpec != "" {
 				t, err := qos.ParseTenants(*tenantSpec)
@@ -541,7 +539,6 @@ func main() {
 				ss := anna.NewServer(sidx)
 				ss.TraceSampleEvery = -1
 				ss.SlowQuery = -1
-				ss.BatchWindow = *batchWindow
 				ss.CacheSize = *cacheSize
 				hs := httptest.NewServer(ss.Handler())
 				defer hs.Close()

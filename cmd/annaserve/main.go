@@ -34,10 +34,9 @@
 // Serving-path performance: a single-query /search runs at once while
 // one of the -batch-concurrent engine slots is free; requests that
 // arrive while all are busy are coalesced by the next slot to free into
-// a shared engine batch (bit-exact; -batch-max caps the batch size;
-// -batch-window is deprecated and only switches the batcher off when
-// negative), repeated queries are
-// answered from a quantized-query result cache of -cache entries
+// a shared engine batch (bit-exact; -batch-max caps the batch size; a
+// negative -batch-concurrent switches the batcher off), repeated queries
+// are answered from a quantized-query result cache of -cache entries
 // (invalidated by /add), and -tenants assigns per-API-key QoS — weights,
 // token-bucket rate limits, and interactive/bulk lanes:
 //
@@ -170,9 +169,8 @@ func main() {
 		slowQuery   = flag.Duration("slow", 250*time.Millisecond, "log /search requests slower than this (negative = never)")
 		traceSample = flag.Int("trace-sample", 64, "trace 1-in-N untagged queries into /debug/queries (negative = only X-Request-ID-tagged queries)")
 		traceRing   = flag.Int("trace-ring", 256, "recent traces buffered for /debug/queries")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "deprecated: the batcher no longer holds queries for a window, the duration is ignored; negative disables coalescing of single-query searches that find every engine slot busy")
 		batchMax    = flag.Int("batch-max", 64, "most queries a freed engine slot takes from the backlog as one coalesced batch")
-		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: coalesced batches executing at once (0 = GOMAXPROCS)")
+		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: coalesced batches executing at once (0 = GOMAXPROCS; negative disables coalescing of single-query searches that find every slot busy)")
 		cacheSize   = flag.Int("cache", 4096, "quantized-query result-cache entries (negative = disabled)")
 		tenantsSpec = flag.String("tenants", "", `per-tenant QoS: "key=weight:4,rate:1000,burst:2000,lane:interactive,name:web;key2=lane:bulk" (empty = one default tenant)`)
 		recallFvecs = flag.String("recall-fvecs", "", "fvecs reference corpus for live shadow recall estimation (empty = disabled)")
@@ -251,7 +249,6 @@ func main() {
 	srv.SlowQuery = *slowQuery
 	srv.TraceSampleEvery = *traceSample
 	srv.TraceRingSize = *traceRing
-	srv.BatchWindow = *batchWindow
 	srv.BatchMaxSize = *batchMax
 	srv.BatchMaxConcurrent = *batchConc
 	srv.CacheSize = *cacheSize

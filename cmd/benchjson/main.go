@@ -1,6 +1,5 @@
-// Command benchjson runs a benchmark suite and records it as JSON,
-// comparing against the recorded seed baseline for that suite. It backs
-// `make bench`, which regenerates both documents at the repo root:
+// Command benchjson runs a benchmark suite and records it as JSON. It
+// backs `make bench`, which regenerates the documents at the repo root:
 //
 //	go run ./cmd/benchjson -suite engine -out BENCH_engine.json
 //	go run ./cmd/benchjson -suite build  -out BENCH_build.json
@@ -8,13 +7,13 @@
 //
 // The "engine" suite covers the serving path (fused scan kernel, worker
 // pool); the "build" suite covers the train/encode/ingest pipeline
-// (blocked batch encoder, parallel deterministic k-means). Seed
-// baselines were measured on the commit preceding each optimisation
-// (same machine class as CI): they are the "before" column, the fresh
-// run is "after". Benchmarks that report a scalar-ns/op metric are
-// interleaved A/Bs instead: they time the scalar and the assembly
-// dispatch of this tree in alternating rounds of one process, and that
-// scalar side — not a recorded number — is their "before".
+// (blocked batch encoder, parallel deterministic k-means). The fresh run
+// is each entry's "after"; no number recorded on another tree or machine
+// is carried beside it — a comparison between commits is an interleaved
+// `make bench-ab` run. Benchmarks that report a scalar-ns/op metric are
+// same-process A/Bs: they time the scalar and the assembly dispatch of
+// this tree in alternating rounds, and that scalar side is their
+// "before".
 //
 // The "serve" suite is different in kind: it delegates to the annaload
 // load generator, which self-hosts a synthetic index and measures whole
@@ -52,10 +51,11 @@ type Metrics struct {
 	scalarNsPerOp *float64
 }
 
-// Entry pairs the recorded seed baseline with the fresh measurement.
+// Entry is one benchmark's fresh measurement, paired with its scalar
+// side when the benchmark is a same-process A/B.
 type Entry struct {
 	Package string   `json:"package"`
-	Before  *Metrics `json:"before,omitempty"` // recorded seed baseline, or the A/B's scalar side; nil for new benchmarks
+	Before  *Metrics `json:"before,omitempty"` // the A/B's scalar side; nil otherwise
 	After   *Metrics `json:"after"`
 	Speedup *float64 `json:"speedup,omitempty"` // before.ns_op / after.ns_op
 	// AB marks Before as measured in this run: the scalar dispatch of
@@ -91,7 +91,7 @@ type Output struct {
 }
 
 // queriesPerOp maps benchmarks whose op spans a whole query batch to the
-// batch size, so a comparable QPS can be derived for the seed baseline.
+// batch size, so a QPS can be derived from ns/op.
 var queriesPerOp = map[string]float64{
 	"BenchmarkQueryMajor":   12,
 	"BenchmarkClusterMajor": 12,
@@ -100,58 +100,32 @@ var queriesPerOp = map[string]float64{
 
 func f(v float64) *float64 { return &v }
 
-// A suite bundles the benchmark selection with its recorded baseline.
+// A suite is a benchmark selection.
 type suite struct {
 	out         string // default output path
 	bench       string // default benchmark regex
 	pkgs        []string
 	description string
-	baselines   map[string]*Metrics
 }
 
 var suites = map[string]suite{
-	// Serving path: baselines are the seed-commit measurements
-	// (goroutine-per-query engine, Unpack+ADC+Push reference scan),
-	// recorded before the fused kernel landed.
 	"engine": {
 		out:   "BENCH_engine.json",
 		bench: "Search|ADC|Major|BuildLUT",
 		pkgs:  []string{"./internal/ivf/", "./internal/pq/", "./internal/engine/", "./internal/simd/"},
-		description: "CPU-engine scan benchmarks. 'before' is the recorded pre-optimisation baseline: " +
-			"the seed commit (per-vector Unpack+ADC+Push scan, goroutine-per-query engine) for the " +
-			"SearchW8/ADC_M64/*Major entries, and the pure-Go scalar kernels (pre-SIMD tree, same " +
-			"machine class) for the ScanADC/ADCSums entries; 'after' is this tree (fused packed-code " +
-			"scan through the AVX2 assembly kernels when the CPU supports them). Entries with an 'ab' " +
-			"field (BuildLUT_L2, ScanListADC_*) carry no recorded number: their 'before' is the scalar " +
-			"dispatch of this same tree, timed in rounds alternating with 'after' inside one process.",
-		baselines: map[string]*Metrics{
-			"anna/internal/ivf.BenchmarkSearchW8":        {NsPerOp: 270550, BytesPerOp: f(6672), AllocsPerOp: f(14)},
-			"anna/internal/pq.BenchmarkADC_M64":          {NsPerOp: 50.79, BytesPerOp: f(0), AllocsPerOp: f(0)},
-			"anna/internal/engine.BenchmarkQueryMajor":   {NsPerOp: 991644, BytesPerOp: f(58872), AllocsPerOp: f(199)},
-			"anna/internal/engine.BenchmarkClusterMajor": {NsPerOp: 1100052, BytesPerOp: f(72192), AllocsPerOp: f(346)},
-			// Pre-SIMD pure-Go scalar measurements (ANNA_NOSIMD-equivalent
-			// tree, Intel Xeon @ 2.10GHz — the CI machine class).
-			"anna/internal/pq.BenchmarkScanADC4":   {NsPerOp: 45796, BytesPerOp: f(0), AllocsPerOp: f(0)},
-			"anna/internal/pq.BenchmarkScanADC8":   {NsPerOp: 43599, BytesPerOp: f(0), AllocsPerOp: f(0)},
-			"anna/internal/simd.BenchmarkADCSums4": {NsPerOp: 196059},
-			"anna/internal/simd.BenchmarkADCSums8": {NsPerOp: 26312},
-		},
+		description: "CPU-engine scan benchmarks of this tree (fused packed-code scan through the AVX2 " +
+			"assembly kernels when the CPU supports them). Entries with an 'ab' field (BuildLUT_L2, " +
+			"ScanListADC_*) carry a 'before': the scalar dispatch of this same tree, timed in rounds " +
+			"alternating with 'after' inside one process. No entry carries a number recorded on another " +
+			"tree or machine; compare commits with `make bench-ab`.",
 	},
-	// Build/ingest pipeline: baselines are the fully serial seed path
-	// (per-vector subtract-square Encode, serial Lloyd iterations),
-	// measured on the commit preceding the blocked batch encoder.
 	"build": {
 		out:   "BENCH_build.json",
 		bench: "Build|BenchmarkAdd$|Encode",
 		pkgs:  []string{"./internal/ivf/", "./internal/pq/"},
-		description: "Build/ingest pipeline benchmarks. 'before' is the recorded serial seed baseline " +
-			"(per-vector subtract-square encode, serial k-means passes); 'after' is this tree " +
-			"(blocked norms-identity batch encoder, chunk-deterministic parallel k-means and list build).",
-		baselines: map[string]*Metrics{
-			"anna/internal/ivf.BenchmarkBuild":      {NsPerOp: 6815216832},
-			"anna/internal/ivf.BenchmarkAdd":        {NsPerOp: 22530035},
-			"anna/internal/pq.BenchmarkEncodeBatch": {NsPerOp: 30529673},
-		},
+		description: "Build/ingest pipeline benchmarks of this tree (blocked norms-identity batch encoder, " +
+			"chunk-deterministic parallel k-means and list build). No entry carries a number recorded on " +
+			"another tree or machine; compare commits with `make bench-ab`.",
 	},
 }
 
@@ -242,16 +216,6 @@ func main() {
 			e.Before = &Metrics{NsPerOp: *metrics.scalarNsPerOp}
 			e.Speedup = f(*metrics.scalarNsPerOp / metrics.NsPerOp)
 			e.AB = "scalar vs asm dispatch, same process, alternating rounds, medians"
-		} else if before, ok := s.baselines[key]; ok {
-			e.Before = before
-			if before.QPS == nil {
-				if nq, ok := queriesPerOp[name]; ok && before.NsPerOp > 0 {
-					before.QPS = f(nq * 1e9 / before.NsPerOp)
-				}
-			}
-			if metrics.NsPerOp > 0 {
-				e.Speedup = f(before.NsPerOp / metrics.NsPerOp)
-			}
 		}
 		doc.Benchmarks[key] = e
 	}

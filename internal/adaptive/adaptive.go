@@ -20,8 +20,9 @@ import (
 )
 
 // Params are the per-query effort knobs threaded from the public API
-// through the engine into ivf.Searcher.SearchAdaptiveStats. The zero
-// value disables both policies (bit-identical to the fixed path).
+// (where they are anna.AdaptiveOptions) through the engine into
+// ivf.Searcher.Search. The zero value disables both policies: the
+// fixed-W scan.
 type Params struct {
 	// StopPatience stops the cluster scan once the running kth score has
 	// not improved for this many consecutive clusters. 0 (or negative)

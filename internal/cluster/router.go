@@ -415,6 +415,10 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = rt.defaultK
 	}
+	if req.K > wire.MaxK {
+		rt.httpError(w, http.StatusBadRequest, "k of %d exceeds limit %d", req.K, wire.MaxK)
+		return
+	}
 	if tr != nil {
 		tr.Queries, tr.W, tr.K = nq, req.W, req.K
 	}

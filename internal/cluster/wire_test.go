@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -98,13 +99,22 @@ func TestRouterRefusesWhatFramesCannotCarry(t *testing.T) {
 	rt := fakeShardSet(t, []http.Handler{counted}, fastOpts())
 	t.Cleanup(rt.Close)
 	h := rt.Handler()
-	for name, body := range map[string]string{
-		"ragged queries":  `{"queries":[[1,2],[3]]}`,
-		"empty query":     `{"queries":[[]]}`,
-		"unknown backend": `{"queries":[[1]],"backend":"gpu"}`,
+	hugeK, err := wire.AppendSearchRequestFrame(nil, &searchRequest{Queries: [][]float32{{1}}, K: math.MaxInt32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ contentType, body string }{
+		"ragged queries":  {wire.JSONContentType, `{"queries":[[1,2],[3]]}`},
+		"empty query":     {wire.JSONContentType, `{"queries":[[]]}`},
+		"unknown backend": {wire.JSONContentType, `{"queries":[[1]],"backend":"gpu"}`},
+		// A frame can carry these, but the merge would size a selector from k.
+		"huge k":       {wire.JSONContentType, `{"queries":[[1]],"k":2147483648}`},
+		"huge k frame": {wire.FrameContentType, string(hugeK)},
 	} {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(body)))
+		r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(c.body))
+		r.Header.Set("Content-Type", c.contentType)
+		h.ServeHTTP(rec, r)
 		if rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Body.String(), `{"error":`) {
 			t.Errorf("%s: status %d body %s", name, rec.Code, rec.Body)
 		}

@@ -70,8 +70,7 @@ func TestAdaptiveEscalationReported(t *testing.T) {
 
 	s := idx.NewSearcher()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		var st ivf.ScanStats
-		want := s.SearchAdaptiveStats(nil, ds.Queries.Row(qi), ivf.SearchParams{W: 10, K: 10}, ap, &st)
+		want := s.Search(nil, ds.Queries.Row(qi), ivf.SearchParams{W: 10, K: 10, Adaptive: ap}, nil)
 		got := rep.Results[qi]
 		if len(got) != len(want) {
 			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))

@@ -19,9 +19,10 @@
 // worker owns one reusable ivf.Searcher (LUT + cluster-selection scratch
 // + top-k selector) for its whole lifetime, pulls work items off an
 // atomic counter, and runs the fused scan kernel (ivf.ScanListADC).
-// Worker searchers and result arenas are pooled on the Engine across Run
-// calls, so the steady state allocates only the per-Run report and
-// per-query result headers.
+// Both disciplines run on the one worker loop (Engine.forEach); worker
+// searchers and cluster-major's per-query selectors and LUTs are pooled
+// on the Engine across Run calls, so the steady state allocates only
+// the per-Run report, result arena and per-query result headers.
 package engine
 
 import (
@@ -115,6 +116,32 @@ type Report struct {
 	RerankTime  time.Duration
 }
 
+// pool is a free list of per-run objects shared by concurrent Runs.
+type pool[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// grab checks n objects out, creating with mk any the pool cannot supply.
+func (p *pool[T]) grab(n int, mk func() T) []T {
+	out := make([]T, 0, n)
+	p.mu.Lock()
+	keep := len(p.free) - min(n, len(p.free))
+	out = append(out, p.free[keep:]...)
+	p.free = p.free[:keep]
+	p.mu.Unlock()
+	for len(out) < n {
+		out = append(out, mk())
+	}
+	return out
+}
+
+func (p *pool[T]) release(items []T) {
+	p.mu.Lock()
+	p.free = append(p.free, items...)
+	p.mu.Unlock()
+}
+
 // Engine wraps an index for repeated searches. It pools per-worker
 // search state across Run calls; an Engine is safe for concurrent Runs.
 type Engine struct {
@@ -126,95 +153,23 @@ type Engine struct {
 	// phase 2) admitted to the pool but not yet picked up by a worker;
 	// inflight counts items a worker is executing right now. Both drop
 	// back to zero between runs, including after a cancelled run.
-	queued   int64
-	inflight int64
+	queued   atomic.Int64
+	inflight atomic.Int64
 
-	mu        sync.Mutex
-	searchers []*ivf.Searcher
-	selectors []*topk.Selector // cluster-major per-query selectors
-	luts      []*pq.LUT        // cluster-major per-query IP tables
+	searchers pool[*ivf.Searcher]
+	selectors pool[*topk.Selector] // cluster-major per-query selectors
+	luts      pool[*pq.LUT]        // cluster-major per-query IP tables
 }
 
 // QueueDepth returns the number of work items admitted to the worker
 // pool but not yet started (see Engine.queued).
-func (e *Engine) QueueDepth() int64 { return atomic.LoadInt64(&e.queued) }
+func (e *Engine) QueueDepth() int64 { return e.queued.Load() }
 
 // InFlight returns the number of work items workers are executing now.
-func (e *Engine) InFlight() int64 { return atomic.LoadInt64(&e.inflight) }
+func (e *Engine) InFlight() int64 { return e.inflight.Load() }
 
 // New returns an engine over idx.
 func New(idx *ivf.Index) *Engine { return &Engine{idx: idx} }
-
-// grabSearchers checks n worker contexts out of the pool, creating any
-// the pool cannot supply.
-func (e *Engine) grabSearchers(n int) []*ivf.Searcher {
-	out := make([]*ivf.Searcher, 0, n)
-	e.mu.Lock()
-	for len(out) < n && len(e.searchers) > 0 {
-		out = append(out, e.searchers[len(e.searchers)-1])
-		e.searchers = e.searchers[:len(e.searchers)-1]
-	}
-	e.mu.Unlock()
-	for len(out) < n {
-		out = append(out, e.idx.NewSearcher())
-	}
-	return out
-}
-
-func (e *Engine) releaseSearchers(ss []*ivf.Searcher) {
-	e.mu.Lock()
-	e.searchers = append(e.searchers, ss...)
-	e.mu.Unlock()
-}
-
-// grabSelectors checks n reset selectors of capacity k out of the pool;
-// pooled selectors built for a different k are discarded.
-func (e *Engine) grabSelectors(n, k int) []*topk.Selector {
-	out := make([]*topk.Selector, 0, n)
-	e.mu.Lock()
-	for len(out) < n && len(e.selectors) > 0 {
-		s := e.selectors[len(e.selectors)-1]
-		e.selectors = e.selectors[:len(e.selectors)-1]
-		if s.K() != k {
-			continue
-		}
-		s.Reset()
-		out = append(out, s)
-	}
-	e.mu.Unlock()
-	for len(out) < n {
-		out = append(out, topk.NewSelector(k))
-	}
-	return out
-}
-
-func (e *Engine) releaseSelectors(ss []*topk.Selector) {
-	e.mu.Lock()
-	e.selectors = append(e.selectors, ss...)
-	e.mu.Unlock()
-}
-
-// grabLUTs checks n LUTs (all sized for the index's quantizer) out of
-// the pool.
-func (e *Engine) grabLUTs(n int) []*pq.LUT {
-	out := make([]*pq.LUT, 0, n)
-	e.mu.Lock()
-	for len(out) < n && len(e.luts) > 0 {
-		out = append(out, e.luts[len(e.luts)-1])
-		e.luts = e.luts[:len(e.luts)-1]
-	}
-	e.mu.Unlock()
-	for len(out) < n {
-		out = append(out, pq.NewLUT(e.idx.PQ))
-	}
-	return out
-}
-
-func (e *Engine) releaseLUTs(ls []*pq.LUT) {
-	e.mu.Lock()
-	e.luts = append(e.luts, ls...)
-	e.mu.Unlock()
-}
 
 // Run executes the batch and returns results plus measured performance.
 // It never fails; deadline-aware callers use RunContext.
@@ -237,10 +192,14 @@ func (e *Engine) RunContext(ctx context.Context, queries *vecmath.Matrix, opt Op
 	if opt.W <= 0 || opt.K <= 0 {
 		panic(fmt.Sprintf("engine: invalid options W=%d K=%d", opt.W, opt.K))
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	queries = e.idx.PrepQueries(queries) // OPQ rotation, when trained with one
+	// K is clamped to the vector count as W is to |C|: no result changes,
+	// and the per-run arenas stay bounded by the index, not the request.
+	p := ivf.SearchParams{W: min(opt.W, e.idx.NClusters()), K: e.idx.ClampK(opt.K), HWF16: opt.HWF16, Adaptive: opt.Adaptive}
 	mode := opt.Mode
 	if opt.Adaptive.Enabled() {
 		// Per-query early termination is sequential in one query's
@@ -248,102 +207,108 @@ func (e *Engine) RunContext(ctx context.Context, queries *vecmath.Matrix, opt Op
 		// queries, so adaptive runs force the query-at-a-time discipline.
 		mode = QueryAtATime
 	}
-	var rep *Report
+	var results [][]topk.Result
+	var st ivf.ScanStats
 	var err error
+	start := time.Now()
 	switch mode {
 	case QueryAtATime:
-		rep, err = e.runQueryMajor(ctx, queries, opt)
+		results, st, err = e.runQueryMajor(ctx, queries, p, workers)
 	case ClusterMajor:
-		rep, err = e.runClusterMajor(ctx, queries, opt)
+		results, st, err = e.runClusterMajor(ctx, queries, p, workers)
 	default:
 		panic(fmt.Sprintf("engine: unknown mode %d", opt.Mode))
 	}
-	if err == nil {
-		rep.SIMD = simd.Dispatch()
-		if tr := trace.FromContext(ctx); tr != nil {
-			tr.AddSpan("select", rep.SelectTime)
-			tr.AddSpan("scan", rep.ScanTime)
-			if rep.RerankTime > 0 {
-				tr.AddSpan("rerank", rep.RerankTime)
-			}
-			tr.AddSpan("merge", rep.MergeTime)
-			tr.Scanned += rep.ScannedVectors
-			tr.ClustersScanned += rep.ClustersScanned
-			tr.Escalated += rep.Escalations
-		}
+	if err != nil {
+		return nil, err
 	}
-	return rep, err
+	rep := &Report{
+		Results:          results,
+		Elapsed:          time.Since(start),
+		ScannedVectors:   st.Scanned,
+		ListBytesTouched: st.ListBytes,
+		SelectTime:       st.Select,
+		ScanTime:         st.Scan,
+		MergeTime:        st.Merge,
+		SIMD:             simd.Dispatch(),
+		ClustersScanned:  st.Clusters,
+		Escalations:      st.Escalated,
+		RerankTime:       st.Rerank,
+	}
+	if rep.Elapsed > 0 {
+		rep.QPS = float64(queries.Rows) / rep.Elapsed.Seconds()
+	}
+	if tr := trace.FromContext(ctx); tr != nil {
+		tr.AddStages(trace.Stages{
+			Select: st.Select, Scan: st.Scan, Rerank: st.Rerank, Merge: st.Merge,
+			Scanned: st.Scanned, Clusters: st.Clusters, Escalated: st.Escalated,
+		})
+	}
+	return rep, nil
 }
 
-func (e *Engine) runQueryMajor(ctx context.Context, queries *vecmath.Matrix, opt Options) (*Report, error) {
-	n := queries.Rows
-	rep := &Report{Results: make([][]topk.Result, n)}
-	workers := opt.Workers
-	if workers > n {
-		workers = n
-	}
-	searchers := e.grabSearchers(workers)
-	defer e.releaseSearchers(searchers)
-	// One arena backs every query's results; slots are disjoint, so
-	// workers write without coordination. The arena is handed to the
-	// caller inside rep.Results and therefore NOT pooled.
-	arena := make([]topk.Result, n*opt.K)
+// forEach is the engine's one worker loop. It runs fn(s, i, st) for
+// every item i in [0, items) on min(workers, items) goroutines, each
+// holding a pooled Searcher s for the whole run and pulling items off an
+// atomic counter; st is the worker's private accumulator. It keeps the
+// queued/inflight gauges, re-checks ctx between items, and on a
+// cancelled run unwinds the queue claims of items never started. It
+// returns the workers' accumulators summed, their wall time summed
+// (CPU time, not wall clock), and ctx's error.
+func (e *Engine) forEach(ctx context.Context, items, workers int, fn func(s *ivf.Searcher, item int, st *ivf.ScanStats)) (ivf.ScanStats, time.Duration, error) {
+	searchers := e.searchers.grab(min(workers, items), e.idx.NewSearcher)
+	defer e.searchers.release(searchers)
 
-	var next, processed int64
-	var stats ivf.ScanStats
-	var statsMu sync.Mutex
-	atomic.AddInt64(&e.queued, int64(n))
-	p := ivf.SearchParams{W: opt.W, K: opt.K, HWF16: opt.HWF16}
-	adapt := opt.Adaptive.Enabled()
-	start := time.Now()
+	var next atomic.Int64
+	var mu sync.Mutex // guards total, busy, started
+	var total ivf.ScanStats
+	var busy time.Duration
+	var started int64
+	e.queued.Add(int64(items))
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
+	for _, s := range searchers {
 		wg.Add(1)
-		go func(s *ivf.Searcher) {
+		go func() {
 			defer wg.Done()
+			wstart := time.Now()
 			var st ivf.ScanStats
 			var done int64
 			for ctx.Err() == nil {
-				qi := int(atomic.AddInt64(&next, 1)) - 1
-				if qi >= n {
+				i := int(next.Add(1)) - 1
+				if i >= items {
 					break
 				}
-				atomic.AddInt64(&e.queued, -1)
-				atomic.AddInt64(&e.inflight, 1)
-				slot := arena[qi*opt.K : qi*opt.K : (qi+1)*opt.K]
-				if adapt {
-					rep.Results[qi] = s.SearchAdaptiveStats(slot, queries.Row(qi), p, opt.Adaptive, &st)
-				} else {
-					rep.Results[qi] = s.SearchPreppedStats(slot, queries.Row(qi), p, &st)
-				}
-				atomic.AddInt64(&e.inflight, -1)
+				e.queued.Add(-1)
+				e.inflight.Add(1)
+				fn(s, i, &st)
+				e.inflight.Add(-1)
 				done++
 			}
-			atomic.AddInt64(&processed, done)
-			statsMu.Lock()
-			stats.Add(st)
-			statsMu.Unlock()
-		}(searchers[wi])
+			mu.Lock()
+			total.Add(st)
+			busy += time.Since(wstart)
+			started += done
+			mu.Unlock()
+		}()
 	}
 	wg.Wait()
 	// Release the queue claims of items a cancelled run never started.
-	atomic.AddInt64(&e.queued, atomic.LoadInt64(&processed)-int64(n))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep.Elapsed = time.Since(start)
-	rep.ScannedVectors = stats.Scanned
-	rep.ListBytesTouched = stats.ListBytes
-	rep.SelectTime = stats.Select
-	rep.ScanTime = stats.Scan
-	rep.MergeTime = stats.Merge
-	rep.ClustersScanned = stats.Clusters
-	rep.Escalations = stats.Escalated
-	rep.RerankTime = stats.Rerank
-	if rep.Elapsed > 0 {
-		rep.QPS = float64(n) / rep.Elapsed.Seconds()
-	}
-	return rep, nil
+	e.queued.Add(started - int64(items))
+	return total, busy, ctx.Err()
+}
+
+// runQueryMajor searches each query independently; p is already clamped.
+func (e *Engine) runQueryMajor(ctx context.Context, queries *vecmath.Matrix, p ivf.SearchParams, workers int) ([][]topk.Result, ivf.ScanStats, error) {
+	n, k := queries.Rows, p.K
+	results := make([][]topk.Result, n)
+	// One arena backs every query's results; slots are disjoint, so
+	// workers write without coordination. The arena is handed to the
+	// caller inside the report and therefore NOT pooled.
+	arena := make([]topk.Result, n*k)
+	st, _, err := e.forEach(ctx, n, workers, func(s *ivf.Searcher, qi int, st *ivf.ScanStats) {
+		results[qi] = s.Search(arena[qi*k:qi*k:(qi+1)*k], queries.Row(qi), p, st)
+	})
+	return results, st, err
 }
 
 // scoredCluster is one cluster a query selected in phase 1, with its
@@ -361,78 +326,48 @@ type clusterVisit struct {
 	score float32
 }
 
-func (e *Engine) runClusterMajor(ctx context.Context, queries *vecmath.Matrix, opt Options) (*Report, error) {
-	n := queries.Rows
-	rep := &Report{Results: make([][]topk.Result, n)}
-	workers := opt.Workers
-	isIP := e.idx.Metric == pq.InnerProduct
-	w := opt.W
-	if w > e.idx.NClusters() {
-		w = e.idx.NClusters()
-	}
-	start := time.Now()
+// runClusterMajor groups queries by visited cluster and scans each
+// cluster once for all of them; p is already clamped.
+func (e *Engine) runClusterMajor(ctx context.Context, queries *vecmath.Matrix, p ivf.SearchParams, workers int) ([][]topk.Result, ivf.ScanStats, error) {
+	x := e.idx
+	n, w, k := queries.Rows, p.W, p.K
+	isIP := x.Metric == pq.InnerProduct
 
-	// Phase 1: cluster filtering for every query on a fixed worker pool.
-	// Selected clusters AND their centroid scores are retained; for
-	// inner product each query's LUT is filled exactly once here and only
-	// rebias'd per cluster in phase 2 (the Section II-C reuse).
+	// Phase 1: cluster filtering for every query. Selected clusters AND
+	// their centroid scores are retained; for inner product each query's
+	// LUT is filled exactly once here and only rebias'd per cluster in
+	// phase 2 (the Section II-C reuse).
 	perQuery := make([][]scoredCluster, n)
 	selArena := make([]scoredCluster, n*w)
 	var luts []*pq.LUT
 	if isIP {
-		luts = e.grabLUTs(n)
-		defer e.releaseLUTs(luts)
+		luts = e.luts.grab(n, func() *pq.LUT { return pq.NewLUT(x.PQ) })
+		defer e.luts.release(luts)
 	}
-	var next, processed, selectNs int64
-	atomic.AddInt64(&e.queued, int64(n))
-	var wg sync.WaitGroup
-	pw := workers
-	if pw > n {
-		pw = n
-	}
-	for wi := 0; wi < pw; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wstart := time.Now()
-			var done int64
-			cs := e.idx.NewClusterSelection(w)
-			for ctx.Err() == nil {
-				qi := int(atomic.AddInt64(&next, 1)) - 1
-				if qi >= n {
-					break
-				}
-				atomic.AddInt64(&e.queued, -1)
-				atomic.AddInt64(&e.inflight, 1)
-				q := queries.Row(qi)
-				e.idx.SelectClustersBatch(cs, q)
-				sel := selArena[qi*w : qi*w : (qi+1)*w]
-				for i, c := range cs.Clusters {
-					sel = append(sel, scoredCluster{c: c, score: cs.Scores[i]})
-				}
-				perQuery[qi] = sel
-				if isIP {
-					e.idx.PQ.FillIP(luts[qi], q)
-					if opt.HWF16 {
-						luts[qi].RoundF16()
-					}
-				}
-				atomic.AddInt64(&e.inflight, -1)
-				done++
+	st, busy, err := e.forEach(ctx, n, workers, func(s *ivf.Searcher, qi int, _ *ivf.ScanStats) {
+		cs, _, _ := s.Scratch(w)
+		q := queries.Row(qi)
+		x.SelectClustersBatch(cs, q)
+		sel := selArena[qi*w : qi*w : (qi+1)*w]
+		for i, c := range cs.Clusters {
+			sel = append(sel, scoredCluster{c: c, score: cs.Scores[i]})
+		}
+		perQuery[qi] = sel
+		if isIP {
+			x.PQ.FillIP(luts[qi], q)
+			if p.HWF16 {
+				luts[qi].RoundF16()
 			}
-			atomic.AddInt64(&processed, done)
-			atomic.AddInt64(&selectNs, int64(time.Since(wstart)))
-		}()
+		}
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	wg.Wait()
-	atomic.AddInt64(&e.queued, atomic.LoadInt64(&processed)-int64(n))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	st.Select = busy
 
 	// Invert to per-cluster visit lists (qi + phase-1 score), carved out
 	// of one counted arena so the inversion never reallocates.
-	nc := e.idx.NClusters()
+	nc := x.NClusters()
 	counts := make([]int, nc)
 	total := 0
 	for _, sel := range perQuery {
@@ -459,91 +394,54 @@ func (e *Engine) runClusterMajor(ctx context.Context, queries *vecmath.Matrix, o
 		}
 	}
 
-	// Per-query selectors (pooled across Runs), each guarded by its own
-	// mutex: different clusters touching the same query serialise only on
-	// that query.
-	sels := e.grabSelectors(n, opt.K)
-	defer e.releaseSelectors(sels)
+	// Per-query selectors (pooled across Runs; ones pooled at another k
+	// are replaced), each guarded by its own mutex: different clusters
+	// touching the same query serialise only on that query.
+	sels := e.selectors.grab(n, func() *topk.Selector { return topk.NewSelector(k) })
+	defer e.selectors.release(sels)
+	for i, sel := range sels {
+		sels[i] = topk.Reuse(sel, k)
+	}
 	locks := make([]sync.Mutex, n)
 
-	// Phase 2: scan each visited cluster once, for all its queries, on a
-	// fixed worker pool pulling clusters off an atomic counter.
-	var scanned, bytes, scanNs int64
-	next, processed = 0, 0
-	nWork := int64(len(nonEmpty))
-	atomic.AddInt64(&e.queued, nWork)
-	cw := workers
-	if cw > len(nonEmpty) {
-		cw = len(nonEmpty)
-	}
-	for wi := 0; wi < cw; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wstart := time.Now()
-			var done int64
-			var lut *pq.LUT
-			var scratch []float32
-			if !isIP {
-				lut = pq.NewLUT(e.idx.PQ)
-				scratch = make([]float32, e.idx.D)
+	// Phase 2: scan each visited cluster once, for all its queries. L2
+	// tables are cluster-dependent, so each worker rebuilds its
+	// searcher's LUT per visit; IP visits rebias the query's own table.
+	scan, busy, err := e.forEach(ctx, len(nonEmpty), workers, func(s *ivf.Searcher, ci int, st *ivf.ScanStats) {
+		_, lut, scratch := s.Scratch(w)
+		c := nonEmpty[ci]
+		for _, v := range clusterVisits[c] {
+			if isIP {
+				l := luts[v.qi]
+				locks[v.qi].Lock()
+				x.RebiasLUTFromScore(l, v.score, p.HWF16)
+				x.ScanListADC(sels[v.qi], l, c, p.HWF16)
+				locks[v.qi].Unlock()
+			} else {
+				x.BuildLUT(lut, queries.Row(v.qi), c, scratch, p.HWF16)
+				locks[v.qi].Lock()
+				x.ScanListADC(sels[v.qi], lut, c, p.HWF16)
+				locks[v.qi].Unlock()
 			}
-			var myScanned, myBytes int64
-			for ctx.Err() == nil {
-				ci := int(atomic.AddInt64(&next, 1)) - 1
-				if ci >= len(nonEmpty) {
-					break
-				}
-				atomic.AddInt64(&e.queued, -1)
-				atomic.AddInt64(&e.inflight, 1)
-				c := nonEmpty[ci]
-				for _, v := range clusterVisits[c] {
-					if isIP {
-						l := luts[v.qi]
-						locks[v.qi].Lock()
-						e.idx.RebiasLUTFromScore(l, v.score, opt.HWF16)
-						e.idx.ScanListADC(sels[v.qi], l, c, opt.HWF16)
-						locks[v.qi].Unlock()
-					} else {
-						e.idx.BuildLUT(lut, queries.Row(v.qi), c, scratch, opt.HWF16)
-						locks[v.qi].Lock()
-						e.idx.ScanListADC(sels[v.qi], lut, c, opt.HWF16)
-						locks[v.qi].Unlock()
-					}
-					myScanned += int64(e.idx.Lists[c].Len())
-				}
-				myBytes += e.idx.ListBytes(c) // list touched once, reused by all queries
-				atomic.AddInt64(&e.inflight, -1)
-				done++
-			}
-			atomic.AddInt64(&scanned, myScanned)
-			atomic.AddInt64(&bytes, myBytes)
-			atomic.AddInt64(&processed, done)
-			atomic.AddInt64(&scanNs, int64(time.Since(wstart)))
-		}()
+			st.Scanned += int64(x.Lists[c].Len())
+		}
+		st.ListBytes += x.ListBytes(c) // list touched once, reused by all queries
+	})
+	if err != nil {
+		return nil, st, err
 	}
-	wg.Wait()
-	atomic.AddInt64(&e.queued, atomic.LoadInt64(&processed)-nWork)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	st.Add(scan)
+	st.Scan = busy
+	st.Clusters = int64(total) // (query, cluster) visits; W per query
 
 	mergeStart := time.Now()
-	arena := make([]topk.Result, 0, n*opt.K)
+	results := make([][]topk.Result, n)
+	arena := make([]topk.Result, 0, n*k)
 	for qi := range sels {
 		lo := len(arena)
 		arena = sels[qi].ResultsAppend(arena)
-		rep.Results[qi] = arena[lo:len(arena):len(arena)]
+		results[qi] = arena[lo:len(arena):len(arena)]
 	}
-	rep.MergeTime = time.Since(mergeStart)
-	rep.Elapsed = time.Since(start)
-	rep.ScannedVectors = scanned
-	rep.ListBytesTouched = bytes
-	rep.ClustersScanned = int64(total) // (query, cluster) visits; W per query
-	rep.SelectTime = time.Duration(selectNs)
-	rep.ScanTime = time.Duration(scanNs)
-	if rep.Elapsed > 0 {
-		rep.QPS = float64(n) / rep.Elapsed.Seconds()
-	}
-	return rep, nil
+	st.Merge = time.Since(mergeStart)
+	return results, st, nil
 }

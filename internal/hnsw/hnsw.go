@@ -8,7 +8,9 @@
 // This implementation exists to quantify that trade-off inside this
 // repository (harness experiment `graph`): recall/QPS against IVF-PQ at
 // million scale, and the memory-footprint comparison that rules HNSW out
-// at billion scale.
+// at billion scale. internal/harness/graph.go is its only importer: it
+// is kept because that experiment regenerates the paper's
+// graph-vs-compression argument, and serves no query outside it.
 package hnsw
 
 import (

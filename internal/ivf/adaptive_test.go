@@ -1,6 +1,7 @@
 package ivf
 
 import (
+	"fmt"
 	"testing"
 
 	"anna/internal/adaptive"
@@ -10,43 +11,46 @@ import (
 	"anna/internal/topk"
 )
 
-// The deterministic pin of the recall contract's base case: with both
-// policies disabled — and separately with termination enabled but given
-// infinite patience — the adaptive path must be bit-identical to the
-// fixed-W scan, for both metrics and both rounding modes.
+// The deterministic pin of the recall contract's base case: with the zero
+// policy — and separately with termination enabled but given infinite
+// patience — Searcher.Search must be bit-identical to the reference
+// fixed-W scan and do exactly W clusters of work, for both metrics and
+// both rounding modes.
 func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 	for _, metric := range []pq.Metric{pq.L2, pq.InnerProduct} {
 		for _, hw := range []bool{false, true} {
-			idx, ds := buildSmall(t, metric)
-			p := SearchParams{W: 10, K: 10, HWF16: hw}
-			aps := map[string]adaptive.Params{
-				"disabled":          {},
-				"infinite-patience": {StopPatience: idx.NClusters() + 1, MinClusters: 1},
-			}
-			for name, ap := range aps {
-				fixed, adapt := idx.NewSearcher(), idx.NewSearcher()
+			idx, ds := buildSmall(t, metric) // no rotation: index space == raw query
+			var scanned []int64
+			for _, ap := range []adaptive.Params{
+				{}, // disabled
+				{StopPatience: idx.NClusters() + 1, MinClusters: 1}, // infinite patience
+			} {
+				name := fmt.Sprintf("patience=%d", ap.StopPatience)
+				p := SearchParams{W: 10, K: 10, HWF16: hw, Adaptive: ap}
+				s := idx.NewSearcher()
+				var st ScanStats
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
 					q := ds.Queries.Row(qi)
-					var fs, as ScanStats
-					want := fixed.SearchPreppedStats(nil, q, p, &fs)
-					got := adapt.SearchAdaptiveStats(nil, q, p, ap, &as)
-					if len(got) != len(want) {
-						t.Fatalf("%v/%s hw=%v q%d: %d results, want %d", metric, name, hw, qi, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%v/%s hw=%v q%d result %d: got %+v, want %+v",
-								metric, name, hw, qi, i, got[i], want[i])
-						}
-					}
-					if as.Clusters != fs.Clusters || as.Scanned != fs.Scanned {
-						t.Fatalf("%v/%s hw=%v q%d: stats diverged (clusters %d vs %d, scanned %d vs %d)",
-							metric, name, hw, qi, as.Clusters, fs.Clusters, as.Scanned, fs.Scanned)
-					}
+					want := idx.SearchReference(q, p)
+					got := s.Search(nil, q, p, &st)
+					requireIdentical(t, fmt.Sprintf("%v/%s hw=%v q%d", metric, name, hw, qi), got, want)
 				}
+				if want := int64(p.W * ds.Queries.Rows); st.Clusters != want {
+					t.Fatalf("%v/%s hw=%v: %d clusters scanned, want %d", metric, name, hw, st.Clusters, want)
+				}
+				scanned = append(scanned, st.Scanned)
+			}
+			if scanned[0] != scanned[1] {
+				t.Fatalf("%v hw=%v: scanned vectors diverged between the policies (%d vs %d)", metric, hw, scanned[0], scanned[1])
 			}
 		}
 	}
+}
+
+// withPolicy returns p carrying the effort policy ap.
+func withPolicy(p SearchParams, ap adaptive.Params) SearchParams {
+	p.Adaptive = ap
+	return p
 }
 
 // Early termination must actually cut work: on clustered data with a
@@ -62,7 +66,7 @@ func TestAdaptiveTerminationCutsClustersScanned(t *testing.T) {
 	var st ScanStats
 	adaptRes := make([][]topk.Result, ds.Queries.Rows)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		adaptRes[qi] = s.SearchAdaptiveStats(nil, ds.Queries.Row(qi), p, ap, &st)
+		adaptRes[qi] = s.Search(nil, ds.Queries.Row(qi), withPolicy(p, ap), &st)
 	}
 	mean := float64(st.Clusters) / float64(ds.Queries.Rows)
 	if mean >= float64(w) {
@@ -76,7 +80,7 @@ func TestAdaptiveTerminationCutsClustersScanned(t *testing.T) {
 	fixedRes := make([][]topk.Result, ds.Queries.Rows)
 	fs := idx.NewSearcher()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		fixedRes[qi], _, _ = fs.SearchPrepped(nil, ds.Queries.Row(qi), p)
+		fixedRes[qi] = fs.Search(nil, ds.Queries.Row(qi), p, nil)
 	}
 	ra := recall.Mean(10, 10, gt, adaptRes)
 	rf := recall.Mean(10, 10, gt, fixedRes)
@@ -102,8 +106,8 @@ func TestAdaptiveEscalationMatchesRerank(t *testing.T) {
 	escal := make([][]topk.Result, ds.Queries.Rows)
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		plain[qi], _, _ = s.SearchPrepped(nil, q, p)
-		escal[qi] = s.SearchAdaptiveStats(nil, q, p, adaptive.Params{EscalateFactor: factor, Margin: 1e9}, &st)
+		plain[qi] = s.Search(nil, q, p, nil)
+		escal[qi] = s.Search(nil, q, withPolicy(p, adaptive.Params{EscalateFactor: factor, Margin: 1e9}), &st)
 
 		want := idx.SearchRerank(q, p, factor)
 		if len(escal[qi]) != len(want) {
@@ -134,8 +138,8 @@ func TestAdaptiveMarginBoundsEscalation(t *testing.T) {
 	var narrow, wide ScanStats
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		q := ds.Queries.Row(qi)
-		s.SearchAdaptiveStats(nil, q, p, adaptive.Params{EscalateFactor: 8, Margin: 0.05}, &narrow)
-		s.SearchAdaptiveStats(nil, q, p, adaptive.Params{EscalateFactor: 8, Margin: 1e9}, &wide)
+		s.Search(nil, q, withPolicy(p, adaptive.Params{EscalateFactor: 8, Margin: 0.05}), &narrow)
+		s.Search(nil, q, withPolicy(p, adaptive.Params{EscalateFactor: 8, Margin: 1e9}), &wide)
 	}
 	if narrow.Escalated < int64(p.K*ds.Queries.Rows) {
 		t.Fatalf("narrow band escalated %d < K per query", narrow.Escalated)
@@ -154,13 +158,13 @@ func TestAdaptiveEscalationRespectsTombstones(t *testing.T) {
 	s := idx.NewSearcher()
 	q := ds.Queries.Row(0)
 
-	before := s.SearchAdaptive(q, p, ap)
+	before := s.Search(nil, q, withPolicy(p, ap), nil)
 	dead := make(map[int64]bool)
 	for _, r := range before[:5] {
 		dead[r.ID] = true
 		idx.Delete(r.ID)
 	}
-	after := s.SearchAdaptive(q, p, ap)
+	after := s.Search(nil, q, withPolicy(p, ap), nil)
 	if len(after) == 0 {
 		t.Fatal("no results after deletes")
 	}
@@ -179,8 +183,8 @@ func TestAdaptiveEscalationWithoutStoreDegrades(t *testing.T) {
 	p := SearchParams{W: 10, K: 10}
 	s := idx.NewSearcher()
 	q := ds.Queries.Row(0)
-	got := s.SearchAdaptive(q, p, adaptive.Params{EscalateFactor: 4, Margin: 0.2})
-	want, _, _ := idx.NewSearcher().SearchPrepped(nil, q, p)
+	got := s.Search(nil, q, withPolicy(p, adaptive.Params{EscalateFactor: 4, Margin: 0.2}), nil)
+	want := idx.NewSearcher().Search(nil, q, p, nil)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"anna/internal/adaptive"
 	"anna/internal/f16"
 	"anna/internal/kmeans"
 	"anna/internal/par"
@@ -348,6 +349,11 @@ type SearchParams struct {
 	// HWF16 rounds LUT entries and scores through half precision,
 	// matching the accelerator datapath bit-for-bit.
 	HWF16 bool
+	// Adaptive is the per-query effort policy (early termination,
+	// precision escalation — see Searcher.Search). The zero value scans
+	// all W clusters and returns the plain PQ ordering; SearchReference
+	// ignores it.
+	Adaptive adaptive.Params
 }
 
 // Search runs the full three-step search for a single query and returns
@@ -363,7 +369,15 @@ func (x *Index) Search(q []float32, p SearchParams) []topk.Result {
 		// No pooled context (or one from a copied Index) — start fresh.
 		s = x.NewSearcher()
 	}
-	res := s.Search(q, p)
+	if x.Rot != nil {
+		// Rotate into the pooled searcher's buffer, not a fresh slice.
+		if len(s.rotBuf) != x.D {
+			s.rotBuf = make([]float32, x.D)
+		}
+		x.Rot.Apply(s.rotBuf, q)
+		q = s.rotBuf
+	}
+	res := s.Search(nil, q, p, nil)
 	if x.searcherPool != nil {
 		x.searcherPool.Put(s)
 	}

@@ -43,20 +43,27 @@ func (x *Index) SearchRerank(q []float32, p SearchParams, factor int) []topk.Res
 	wide.K = p.K * factor
 	cands := x.Search(q, wide)
 
-	qs := x.PrepQuery(q)
-	dec := make([]float32, x.D)
-	sel := topk.NewSelector(p.K)
+	sel := topk.NewSelector(x.ClampK(p.K))
+	x.rescore(sel, x.PrepQuery(q), cands, make([]float32, x.D))
+	return sel.Results()
+}
+
+// rescore offers every candidate to sel under its float32 score against
+// the SQ8 reconstruction of its vector (q in index space, dec a D-long
+// decode buffer). It is the one re-scoring loop: SearchRerank runs it
+// over a whole wide candidate list, Searcher.Search over the escalation
+// band.
+func (x *Index) rescore(sel *topk.Selector, q []float32, cands []topk.Result, dec []float32) {
 	for _, c := range cands {
 		x.SQ.Decode(dec, int(c.ID))
 		var s float32
 		if x.Metric == pq.InnerProduct {
-			s = vecmath.Dot(qs, dec)
+			s = vecmath.Dot(q, dec)
 		} else {
-			s = -vecmath.L2Sq(qs, dec)
+			s = -vecmath.L2Sq(q, dec)
 		}
 		sel.Push(c.ID, s)
 	}
-	return sel.Results()
 }
 
 // appendRerank extends the SQ store for Add (data already in index

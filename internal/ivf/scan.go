@@ -1,9 +1,10 @@
 package ivf
 
 // Fused search path: batched cluster filtering plus the allocation-free
-// packed-code scan kernel of internal/pq. Search (and the CPU engine's
-// workers) run entirely through this file; ScanList in ivf.go remains the
-// reference implementation the kernels are proven bit-identical against.
+// packed-code scan kernel of internal/pq. Index.Search and the CPU
+// engine's workers all run through the one Searcher.Search in this file;
+// SearchReference and ScanList in ivf.go remain the spec it is proven
+// bit-identical against.
 
 import (
 	"fmt"
@@ -104,21 +105,19 @@ func (x *Index) ScanListADC(sel *topk.Selector, l *pq.LUT, c int, hwF16 bool) {
 }
 
 // Searcher bundles every per-thread buffer a fused search needs — cluster
-// selection scratch, LUT, residual scratch, rotation scratch and top-k
-// selector — so repeated searches allocate nothing beyond the returned
-// result slice (and not even that via SearchAppend). A Searcher is NOT
-// safe for concurrent use; create one per goroutine.
+// selection scratch, LUT, residual scratch and top-k selector, plus the
+// escalation band's candidate list, selector and SQ8 decode buffer — so
+// repeated searches allocate nothing when dst has capacity for the
+// results. A Searcher is NOT safe for concurrent use; create one per
+// goroutine.
 type Searcher struct {
 	idx     *Index
 	cs      *ClusterSelection
 	lut     *pq.LUT
 	scratch []float32 // residual q-c for L2 LUT fills
-	rotBuf  []float32 // OPQ-rotated query
+	rotBuf  []float32 // OPQ-rotated query (Index.Search's raw-query entry)
 	sel     *topk.Selector
 
-	// Adaptive-path scratch (see adaptive.go): early-termination state,
-	// the drained wide candidate list, the escalation selector and the
-	// SQ8 decode buffer. Unused (nil) on the fixed path.
 	term     adaptive.Termination
 	escCands []topk.Result
 	escSel   *topk.Selector
@@ -130,21 +129,21 @@ type Searcher struct {
 // the parameters change.
 func (x *Index) NewSearcher() *Searcher { return &Searcher{idx: x} }
 
-func (s *Searcher) prepare(p SearchParams) {
-	if p.W <= 0 || p.K <= 0 {
-		panic(fmt.Sprintf("ivf: invalid search params W=%d K=%d", p.W, p.K))
-	}
-	w := p.W
-	if w > s.idx.NClusters() {
-		w = s.idx.NClusters()
-	}
+// ClampK bounds a requested result count by the number of indexed
+// vectors, the way W is bounded by |C|: a selector can never retain more
+// candidates than the lists hold, so the clamp changes no result — it
+// only keeps an absurd K from sizing an allocation.
+func (x *Index) ClampK(k int) int { return min(k, max(x.NTotal, 1)) }
+
+// Scratch sizes the searcher's buffers for a scan of w ≤ |C| clusters and
+// lends them out: the cluster-selection scratch, the LUT and the D-long
+// residual buffer BuildLUT takes. Search runs on them itself; the
+// engine's cluster-major workers, which interleave the stages across
+// queries and so cannot call Search, borrow them instead of allocating
+// their own per run. They stay valid until the searcher's next use.
+func (s *Searcher) Scratch(w int) (*ClusterSelection, *pq.LUT, []float32) {
 	if s.cs == nil || s.cs.w != w {
 		s.cs = s.idx.NewClusterSelection(w)
-	}
-	if s.sel == nil || s.sel.K() != p.K {
-		s.sel = topk.NewSelector(p.K)
-	} else {
-		s.sel.Reset()
 	}
 	if s.lut == nil {
 		s.lut = pq.NewLUT(s.idx.PQ)
@@ -152,6 +151,7 @@ func (s *Searcher) prepare(p SearchParams) {
 	if len(s.scratch) != s.idx.D {
 		s.scratch = make([]float32, s.idx.D)
 	}
+	return s.cs, s.lut, s.scratch
 }
 
 // ScanStats accumulates the work and per-stage wall time of fused
@@ -165,11 +165,11 @@ func (s *Searcher) prepare(p SearchParams) {
 type ScanStats struct {
 	Scanned   int64
 	ListBytes int64
-	// Clusters counts inverted lists actually scanned — W per query on
-	// the fixed path, possibly fewer under adaptive early termination.
+	// Clusters counts inverted lists actually scanned — W per query
+	// without early termination, possibly fewer with it.
 	Clusters int64
 	// Escalated counts candidates re-scored through the SQ8 escalation
-	// band (zero on the fixed path); Rerank is the time that took.
+	// band (zero without escalation); Rerank is the time that took.
 	Escalated int64
 	Select    time.Duration
 	Scan      time.Duration
@@ -189,75 +189,120 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Merge += o.Merge
 }
 
-// Search runs the fused three-step search for one query, returning the
-// top-k in descending similarity order. Results are bit-identical to the
-// reference Index.Search.
-func (s *Searcher) Search(q []float32, p SearchParams) []topk.Result {
-	res, _, _ := s.SearchAppend(nil, q, p)
-	return res
-}
-
-// SearchAppend is Search appending into dst (pass a zero-length slice
-// with capacity K for an allocation-free call). It also reports the scan
-// work done: vectors scored and inverted-list code bytes read.
-func (s *Searcher) SearchAppend(dst []topk.Result, q []float32, p SearchParams) (res []topk.Result, scanned, listBytes int64) {
-	if s.idx.Rot != nil {
-		if len(s.rotBuf) != s.idx.D {
-			s.rotBuf = make([]float32, s.idx.D)
-		}
-		s.idx.Rot.Apply(s.rotBuf, q)
-		q = s.rotBuf
+// Search is the one fused search path: cluster filtering, LUT build +
+// list scan, top-k selection, for one query q already in index space
+// (Index.Search rotates a raw query; the engine rotates whole batches up
+// front via PrepQueries). It appends the top p.K to dst in descending
+// similarity order — pass a zero-length slice with capacity K for an
+// allocation-free call — and accumulates work counters and per-stage
+// wall time into st when st is non-nil. The handful of time.Now() calls
+// cost ~100ns against a query's hundreds of microseconds, so the
+// instrumented path IS the production path.
+//
+// p.Adaptive threads two per-query effort policies through the stages:
+//
+//   - Early termination: clusters are scanned in selection order (most
+//     similar centroid first), and the scan stops once the selector's
+//     kth score has gone StopPatience consecutive clusters without
+//     improving. The stop test rides the Selector.Threshold() value the
+//     scan kernel already maintains, so it costs one comparison per
+//     cluster.
+//   - Precision escalation: the cheap 4-bit/f16 PQ scan keeps an
+//     inflated candidate set (K*EscalateFactor), and only the margin
+//     band among them — candidates whose approximate score lies within
+//     Margin of the kth (see adaptive.Band) — is re-scored in full
+//     float32 precision against the SQ8 reconstructions (rescore, which
+//     SearchRerank shares). The final top-K comes from the re-scored
+//     band. It silently degrades to the plain PQ ordering when the index
+//     retains no SQ8 store.
+//
+// Contract: with the zero policy — and with termination given more
+// patience than there are clusters — the results are bit-identical to
+// SearchReference (pinned by TestFusedSearchBitExact and
+// TestAdaptiveDisabledBitIdentical). With termination enabled, the
+// result set is the fixed-W result set minus anything only found in
+// clusters past the stop point — on clustered data the kth score
+// stabilizes after a few lists, so the loss is bounded by the patience
+// knob. With escalation enabled, the returned top-K is the EXACT float32
+// ordering over the escalation band, which always contains the
+// approximate top-K; PQ ordering errors inside the band are corrected,
+// errors that kept a true neighbor out of the wide candidate set
+// entirely are not. Deleted IDs can never resurface: escalation
+// re-scores only candidates that survived the tombstone-gated list scan.
+func (s *Searcher) Search(dst []topk.Result, q []float32, p SearchParams, st *ScanStats) []topk.Result {
+	if p.W <= 0 || p.K <= 0 {
+		panic(fmt.Sprintf("ivf: invalid search params W=%d K=%d", p.W, p.K))
 	}
-	return s.searchPrepped(dst, q, p)
-}
-
-// SearchPrepped is SearchAppend for a query already in index space (the
-// engine rotates whole batches up front via PrepQueries).
-func (s *Searcher) SearchPrepped(dst []topk.Result, q []float32, p SearchParams) (res []topk.Result, scanned, listBytes int64) {
-	return s.searchPrepped(dst, q, p)
-}
-
-func (s *Searcher) searchPrepped(dst []topk.Result, q []float32, p SearchParams) (res []topk.Result, scanned, listBytes int64) {
-	var st ScanStats
-	res = s.SearchPreppedStats(dst, q, p, &st)
-	return res, st.Scanned, st.ListBytes
-}
-
-// SearchPreppedStats is SearchPrepped accumulating work counters AND
-// per-stage wall time into st (which must be non-nil). The three
-// time.Now() calls cost ~100ns against a query's hundreds of
-// microseconds, so the instrumented path IS the production path.
-func (s *Searcher) SearchPreppedStats(dst []topk.Result, q []float32, p SearchParams, st *ScanStats) []topk.Result {
-	s.prepare(p)
+	var local ScanStats
+	if st == nil {
+		st = &local
+	}
 	x := s.idx
+	ap := p.Adaptive
+	k := x.ClampK(p.K)
+	wide := k
+	escalate := ap.EscalateFactor > 1 && x.SQ != nil
+	if escalate {
+		// K*EscalateFactor under the same clamp; bounding the factor
+		// first keeps the product from overflowing.
+		wide = x.ClampK(k * min(ap.EscalateFactor, x.NTotal/k+1))
+	}
+	s.Scratch(min(p.W, x.NClusters()))
+	s.sel = topk.Reuse(s.sel, wide)
+
 	t0 := time.Now()
 	x.SelectClustersBatch(s.cs, q)
 	t1 := time.Now()
 	st.Select += t1.Sub(t0)
-	if x.Metric == pq.InnerProduct {
+
+	s.term.Patience = ap.StopPatience
+	s.term.MinClusters = ap.MinClusters
+	s.term.Reset()
+	isIP := x.Metric == pq.InnerProduct
+	if isIP {
 		// Fill once, rebias per cluster from the phase-1 centroid score.
 		x.PQ.FillIP(s.lut, q)
 		if p.HWF16 {
 			s.lut.RoundF16()
 		}
-		for i, c := range s.cs.Clusters {
+	}
+	for i, c := range s.cs.Clusters {
+		if isIP {
 			x.RebiasLUTFromScore(s.lut, s.cs.Scores[i], p.HWF16)
-			x.ScanListADC(s.sel, s.lut, c, p.HWF16)
-			st.Scanned += int64(x.Lists[c].Len())
-			st.ListBytes += x.ListBytes(c)
-		}
-	} else {
-		for _, c := range s.cs.Clusters {
+		} else {
 			x.BuildLUT(s.lut, q, c, s.scratch, p.HWF16)
-			x.ScanListADC(s.sel, s.lut, c, p.HWF16)
-			st.Scanned += int64(x.Lists[c].Len())
-			st.ListBytes += x.ListBytes(c)
+		}
+		x.ScanListADC(s.sel, s.lut, c, p.HWF16)
+		st.Scanned += int64(x.Lists[c].Len())
+		st.ListBytes += x.ListBytes(c)
+		st.Clusters++
+		if kth, full := s.sel.Threshold(); s.term.Observe(kth, full) {
+			break
 		}
 	}
-	st.Clusters += int64(len(s.cs.Clusters))
 	t2 := time.Now()
 	st.Scan += t2.Sub(t1)
-	res := s.sel.ResultsAppend(dst)
+
+	final := s.sel
+	if escalate {
+		// Drain the wide selector (descending approximate score), cut
+		// the margin band and re-score it. Only re-scored candidates can
+		// reach the final top-K, so the returned order is exact over the
+		// band.
+		s.escCands = s.sel.ResultsAppend(s.escCands[:0])
+		band := s.escCands[:adaptive.Band(s.escCands, k, ap.Margin)]
+		s.escSel = topk.Reuse(s.escSel, k)
+		if len(s.escDec) != x.D {
+			s.escDec = make([]float32, x.D)
+		}
+		x.rescore(s.escSel, q, band, s.escDec)
+		st.Escalated += int64(len(band))
+		final = s.escSel
+		t3 := time.Now()
+		st.Rerank += t3.Sub(t2)
+		t2 = t3
+	}
+	res := final.ResultsAppend(dst)
 	st.Merge += time.Since(t2)
 	return res
 }

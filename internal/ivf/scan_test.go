@@ -188,7 +188,7 @@ func TestSearcherReuseAcrossParams(t *testing.T) {
 		{W: 2, K: 5}, {W: 8, K: 20}, {W: 2, K: 5, HWF16: true}, {W: 100, K: 3},
 	} {
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			got := s.Search(ds.Queries.Row(qi), p)
+			got := s.Search(nil, idx.PrepQuery(ds.Queries.Row(qi)), p, nil)
 			want := idx.SearchReference(ds.Queries.Row(qi), p)
 			requireIdentical(t, fmt.Sprintf("p=%+v q%d", p, qi), got, want)
 		}

@@ -44,10 +44,6 @@ import (
 //	footer: payloadLen uint64 (bytes from offset 0 through the data
 //	        crc32c inclusive), trailer "ANNAEND3" (8 bytes)
 //
-// Load also reads the previous unchecksummed ANNAIVF2 layout (same
-// fields, flags interleaved with their payloads, no tombstones, no
-// footer) so indexes written by earlier versions keep working.
-//
 // This mirrors the host-side "place the set of necessary data structures
 // in ANNA main memory" step (Section III-A): everything the accelerator
 // needs is in this one artifact — which is exactly why it must be
@@ -55,7 +51,6 @@ import (
 
 const (
 	magicV3   = "ANNAIVF3"
-	magicV2   = "ANNAIVF2"
 	trailerV3 = "ANNAEND3"
 
 	// Hard plausibility caps, enforced before any count-derived
@@ -296,7 +291,7 @@ func (sr *secReader) f32() (float32, error) {
 }
 
 // endSection reads the stored section checksum and compares it to the
-// computed one (v2 inputs never call this — they carry no checksums).
+// computed one.
 func (sr *secReader) endSection(what string) error {
 	want := sr.crc
 	if err := sr.readRaw(sr.scratch[:4]); err != nil {
@@ -421,8 +416,8 @@ func (h *header) shell() *Index {
 	}
 }
 
-// Load reads an index written by Save (ANNAIVF3) or by earlier versions
-// (ANNAIVF2). Any malformed input yields an error wrapping ErrCorrupt;
+// Load reads an index written by Save (ANNAIVF3). Any malformed input
+// (any other magic included) yields an error wrapping ErrCorrupt;
 // Load never panics and never allocates more than the input could
 // justify. Prefer LoadFile, which additionally bounds every section
 // against the file size and verifies exact consumption.
@@ -436,14 +431,10 @@ func load(r io.Reader, size int64) (*Index, error) {
 	if err := sr.read(hdr); err != nil {
 		return nil, corruptf("reading magic: %v", err)
 	}
-	switch string(hdr) {
-	case magicV3:
-		return loadV3(sr)
-	case magicV2:
-		return loadV2(sr)
-	default:
+	if string(hdr) != magicV3 {
 		return nil, corruptf("bad magic %q", hdr)
 	}
+	return loadV3(sr)
 }
 
 // loadV3 reads the checksummed sectioned layout.
@@ -563,88 +554,6 @@ func (sr *secReader) footerU64() (uint64, error) {
 	return binary.LittleEndian.Uint64(sr.scratch[:8]), nil
 }
 
-// loadV2 reads the legacy unchecksummed layout with the same strict
-// bounds validation (historically this loader trusted header counts
-// blindly — a hostile file could demand multi-GB allocations or
-// overflow D*D into a panic).
-func loadV2(sr *secReader) (*Index, error) {
-	var h header
-	var err error
-	if h.metric, err = sr.u8(); err == nil {
-		if h.d, err = sr.u32(); err == nil {
-			if h.nTotal, err = sr.u64(); err == nil {
-				if h.nc, err = sr.u32(); err == nil {
-					if h.m, err = sr.u32(); err == nil {
-						h.ks, err = sr.u32()
-					}
-				}
-			}
-		}
-	}
-	if err != nil {
-		return nil, corruptf("reading header: %v", err)
-	}
-	if h.hasRot, err = sr.u8(); err != nil {
-		return nil, corruptf("reading rotation flag: %v", err)
-	}
-	// Validate before the flag-gated payloads: rotation size needs d.
-	h.hasSQ = 0 // not read yet; flag bounds re-checked below
-	if err := h.validate(); err != nil {
-		return nil, err
-	}
-	x := h.shell()
-	d, nc := uint64(h.d), uint64(h.nc)
-	if h.hasRot == 1 {
-		rows, err := sr.f32sN(d*d, "rotation")
-		if err != nil {
-			return nil, err
-		}
-		x.Rot = &rotation.Matrix{D: int(h.d), Rows: rows}
-	}
-	if x.AnisotropicEta, err = sr.f32(); err != nil {
-		return nil, corruptf("reading anisotropic eta: %v", err)
-	}
-	eta := x.AnisotropicEta
-	if eta < 0 || eta != eta || math.IsInf(float64(eta), 0) {
-		return nil, corruptf("invalid anisotropic eta %v", eta)
-	}
-	if h.hasSQ, err = sr.u8(); err != nil {
-		return nil, corruptf("reading SQ flag: %v", err)
-	}
-	if h.hasSQ > 1 {
-		return nil, corruptf("bad SQ flag %d", h.hasSQ)
-	}
-	if h.hasSQ == 1 {
-		quant := &sq.Quantizer{D: int(h.d)}
-		if quant.Min, err = sr.f32sN(d, "SQ mins"); err != nil {
-			return nil, err
-		}
-		if quant.Scale, err = sr.f32sN(d, "SQ scales"); err != nil {
-			return nil, err
-		}
-		codes, err := sr.bytesN(h.nTotal*d, "SQ codes")
-		if err != nil {
-			return nil, err
-		}
-		x.SQ = &sq.Store{Q: quant, Codes: codes, N: int(h.nTotal)}
-	}
-	cents, err := sr.f32sN(nc*d, "centroids")
-	if err != nil {
-		return nil, err
-	}
-	x.Centroids = &vecmath.Matrix{Rows: int(h.nc), Cols: int(h.d), Data: cents}
-	books, err := sr.f32sN(uint64(h.m)*uint64(h.ks)*(d/uint64(h.m)), "codebooks")
-	if err != nil {
-		return nil, err
-	}
-	x.PQ.Codebooks.Data = books
-	if err := readLists(sr, x, int(h.nc)); err != nil {
-		return nil, err
-	}
-	finishLoad(x)
-	return x, nil
-}
-
 // readLists decodes the per-cluster inverted lists, clamping every count
 // against the header total (and, through bytesN, against the remaining
 // input) before allocating. The Lists slice itself grows with the bytes
@@ -696,8 +605,7 @@ func readLists(sr *secReader, x *Index, nc int) error {
 	return nil
 }
 
-// readTombstones decodes the deleted-ID set (ANNAIVF3 only; earlier
-// formats silently dropped tombstones on save).
+// readTombstones decodes the deleted-ID set.
 func readTombstones(sr *secReader, x *Index) error {
 	n32, err := sr.u32()
 	if err != nil {

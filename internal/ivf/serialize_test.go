@@ -10,8 +10,45 @@ import (
 	"strings"
 	"testing"
 
+	"anna/internal/dataset"
+	"anna/internal/pq"
 	"anna/internal/wal/faultfs"
 )
+
+// buildFeatureful returns a small index exercising every optional model
+// component: rotation, anisotropic encoding and the SQ rerank store.
+func buildFeatureful(t testing.TB) (*Index, *dataset.Dataset) {
+	t.Helper()
+	spec := dataset.SIFTLike(600, 3, 1)
+	spec.D = 16
+	spec.Metric = pq.InnerProduct
+	ds := dataset.Generate(spec)
+	idx := Build(ds.Base, pq.InnerProduct, Config{
+		NClusters: 6, M: 4, Ks: 16, CoarseIters: 4, PQIters: 4, Seed: 7,
+		Rotate: true, AnisotropicEta: 2, Rerank: true,
+	})
+	return idx, ds
+}
+
+// sameSearchResults asserts both indexes return identical results for
+// the dataset's query set.
+func sameSearchResults(t *testing.T, want, got *Index, ds *dataset.Dataset) {
+	t.Helper()
+	for qi := 0; qi < ds.Queries.Rows && qi < 10; qi++ {
+		q := ds.Queries.Row(qi)
+		a := want.Search(q, SearchParams{W: 4, K: 5})
+		b := got.Search(q, SearchParams{W: 4, K: 5})
+		if len(a) != len(b) {
+			t.Fatalf("query %d: %d vs %d results", qi, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
+				t.Fatalf("query %d rank %d: (%d, %v) vs (%d, %v)",
+					qi, i, a[i].ID, a[i].Score, b[i].ID, b[i].Score)
+			}
+		}
+	}
+}
 
 func TestSaveLoadV3RoundTrip(t *testing.T) {
 	idx, ds := buildFeatureful(t)
@@ -35,8 +72,7 @@ func TestSaveLoadV3RoundTrip(t *testing.T) {
 	if got.NTotal != idx.NTotal || got.D != idx.D {
 		t.Fatalf("geometry mismatch: N=%d D=%d", got.NTotal, got.D)
 	}
-	// Tombstones survive the round trip (they were silently dropped by
-	// the v2 writer).
+	// Tombstones survive the round trip.
 	for _, id := range []int64{3, 17, 41} {
 		if !got.Deleted(id) {
 			t.Fatalf("tombstone %d lost", id)
@@ -71,8 +107,8 @@ func TestSaveDeterministic(t *testing.T) {
 // TestLoadRejectsEveryCorruptByte is the property the checksummed format
 // exists for: flip any single byte anywhere in the artifact and Load
 // must return an error — never panic, never silently decode. The XOR
-// with 0x01 also covers the nastiest flip, magic "ANNAIVF3" ->
-// "ANNAIVF2" at offset 7, which routes the blob into the legacy parser.
+// with 0x01 also covers the flip of magic "ANNAIVF3" to the unread
+// "ANNAIVF2" at offset 7, which lands on the unknown-magic error.
 func TestLoadRejectsEveryCorruptByte(t *testing.T) {
 	idx, _ := buildFeatureful(t)
 	idx.Delete(5)
@@ -153,6 +189,7 @@ func TestLoadErrorsAreTyped(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOTANIDX________"),
+		"old magic": []byte("ANNAIVF2________"),
 		"truncated": []byte(magicV3),
 	} {
 		if _, err := Load(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
@@ -210,34 +247,6 @@ func TestLoadRejectsHostileHeaders(t *testing.T) {
 		}
 		if _, err := LoadFile(path); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s (file): got %v, want ErrCorrupt", name, err)
-		}
-	}
-}
-
-// TestLoadRejectsHostileV2Headers covers the legacy parser with the same
-// attacks — this is the unvalidated-size bug fix.
-func TestLoadRejectsHostileV2Headers(t *testing.T) {
-	v2Header := func(d uint32, nTotal uint64, nc uint32) []byte {
-		var b bytes.Buffer
-		b.WriteString(magicV2)
-		b.WriteByte(0)
-		le := func(v any) { binary.Write(&b, binary.LittleEndian, v) }
-		le(d)
-		le(nTotal)
-		le(nc)
-		le(uint32(4))  // m
-		le(uint32(16)) // ks
-		b.WriteByte(0) // hasRot
-		return b.Bytes()
-	}
-	cases := map[string][]byte{
-		"giant dim (d*d overflows int32)": v2Header(1<<31-1, 100, 4),
-		"giant cluster count":             v2Header(16, 100, 1<<31-1),
-		"giant vector count":              v2Header(16, 1<<60, 4),
-	}
-	for name, blob := range cases {
-		if _, err := Load(bytes.NewReader(blob)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
 }

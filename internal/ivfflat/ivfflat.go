@@ -3,7 +3,9 @@
 // exhaustive search and IVF-PQ — the same cluster filtering as the
 // two-level scheme of Section II-C, but exact in-cluster scoring and
 // full-precision memory cost (2·N·D bytes). The harness's graph/memory
-// comparison uses it to show what PQ's compression buys.
+// comparison uses it to show what PQ's compression buys;
+// internal/harness/graph.go is its only importer, and it is kept for
+// that experiment alone.
 package ivfflat
 
 import (

@@ -38,6 +38,17 @@ func NewSelector(k int) *Selector {
 	return &Selector{k: k, heap: make([]Result, 0, k)}
 }
 
+// Reuse returns an empty Selector retaining the top k: s itself, reset,
+// when it already has that capacity, a new one otherwise (s may be nil).
+// It is how pooled scratch follows a change of k between searches.
+func Reuse(s *Selector, k int) *Selector {
+	if s == nil || s.k != k {
+		return NewSelector(k)
+	}
+	s.Reset()
+	return s
+}
+
 // K returns the selector's capacity.
 func (s *Selector) K() int { return s.k }
 

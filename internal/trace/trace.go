@@ -121,6 +121,27 @@ func (t *Trace) AddSpan(name string, d time.Duration) {
 	t.Spans = append(t.Spans, Span{Name: name, Duration: d})
 }
 
+// Stages is the engine's account of one search batch: the time in each
+// of the paper's stages and the work counted along the way.
+type Stages struct {
+	Select, Scan, Rerank, Merge  time.Duration
+	Scanned, Clusters, Escalated int64
+}
+
+// AddStages attaches one engine batch to the trace: select, scan and
+// merge spans (rerank only when escalation ran) and the work counts.
+func (t *Trace) AddStages(st Stages) {
+	t.AddSpan("select", st.Select)
+	t.AddSpan("scan", st.Scan)
+	if st.Rerank > 0 {
+		t.AddSpan("rerank", st.Rerank)
+	}
+	t.AddSpan("merge", st.Merge)
+	t.Scanned += st.Scanned
+	t.ClustersScanned += st.Clusters
+	t.Escalated += st.Escalated
+}
+
 // AddHop appends one cluster hop. Unlike AddSpan it is safe for
 // concurrent use: a router's scatter records hops from one goroutine
 // per shard.

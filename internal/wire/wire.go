@@ -71,6 +71,15 @@ type AddReply struct {
 	Count   int   `json:"count"`
 }
 
+// MaxK is the largest k a front door accepts in a search request.
+// Nothing else bounds it — a frame carries an int32, JSON any integer —
+// and the engine sizes a MaxBatch·k result arena from it, so an absurd k
+// would be an out-of-memory crash on request. The bound keeps that arena
+// at 1024·4096 rows (64 MiB) under the default MaxBatch; the handlers
+// answer 400 above it. The decoders do not check it: their accept set is
+// pinned to encoding/json's.
+const MaxK = 1 << 12
+
 // Codec names one of the two encodings. The zero value is JSON.
 type Codec uint8
 

@@ -2,6 +2,7 @@ package anna
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -148,15 +149,7 @@ func (e *RecallEstimator) Offer(q []float32, got []Result) {
 	}
 	// Sampled: copy both inputs — the caller's buffers go back to the
 	// client (and its arena may be reused) while the shadow runs.
-	n := len(got)
-	if n > e.k {
-		n = e.k
-	}
-	job := recallJob{q: make([]float32, len(q)), got: make([]topk.Result, n)}
-	copy(job.q, q)
-	for i := 0; i < n; i++ {
-		job.got[i] = topk.Result{ID: got[i].ID, Score: got[i].Score}
-	}
+	job := recallJob{q: slices.Clone(q), got: slices.Clone(got[:min(len(got), e.k)])}
 	select {
 	case e.jobs <- job:
 		e.sampled.Add(1)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -111,9 +112,12 @@ type Server struct {
 	// SnapshotEvery, when positive with Store set, auto-checkpoints
 	// after that many vectors have been added since the last snapshot.
 	SnapshotEvery int
-	// BatchWindow switches the dynamic batcher: negative disables it, any
-	// other value (the default) enables it. Deprecated as a duration —
-	// there is no coalesce window any more and the length is ignored. The
+	// BatchMaxSize caps the queries a freed slot takes from the backlog
+	// as one coalesced batch (default 64).
+	BatchMaxSize int
+	// BatchMaxConcurrent is the number of engine slots of the dynamic
+	// batcher: coalesced batches executing at once (default GOMAXPROCS,
+	// applied by qos.NewBatcher; negative disables the batcher). The
 	// batcher is work-conserving: a single-query /search that finds a
 	// free engine slot runs at once, and only requests that arrive while
 	// every slot is busy are coalesced, by the next slot to free, into
@@ -122,15 +126,8 @@ type Server struct {
 	// of batch composition — it only amortizes cluster selection and
 	// inverted-list loads the way the paper's Figure 5 batches do.
 	// Multi-query requests are already engine batches and always run
-	// directly.
-	BatchWindow time.Duration
-	// BatchMaxSize caps the queries a freed slot takes from the backlog
-	// as one coalesced batch (default 64).
-	BatchMaxSize int
-	// BatchMaxConcurrent is the number of engine slots: coalesced
-	// batches executing at once (default GOMAXPROCS, applied by
-	// qos.NewBatcher). The bound is what makes queries coalesce and
-	// gives the QoS lanes teeth: overload backs up in the batcher queue —
+	// directly. The slot bound is what makes queries coalesce and gives
+	// the QoS lanes teeth: overload backs up in the batcher queue —
 	// where interactive-lane requests are dequeued ahead of bulk —
 	// instead of racing into the engine in arrival order.
 	BatchMaxConcurrent int
@@ -204,14 +201,10 @@ type Server struct {
 // engine batch that produced them, so a coalesced query that later
 // proves slow can still report select/scan/merge spans.
 type servedRow struct {
-	res              []Result
-	gen              uint64
-	sel, scan, merge time.Duration
-	rerank           time.Duration
-	scanned          int64
-	clusters         int64
-	escalated        int64
-	effort           int
+	res    []Result
+	gen    uint64
+	stages trace.Stages
+	effort int
 }
 
 // AdaptiveServing configures the serving layer's per-query effort (see
@@ -608,8 +601,8 @@ func (s *Server) initQoS() {
 			}
 			s.cache.Store(qos.NewCache[servedRow](size))
 		}
-		if s.BatchWindow >= 0 {
-			s.batcher.Store(qos.NewBatcher(s.runCoalesced, qos.BatcherOptions{
+		if s.BatchMaxConcurrent >= 0 {
+			s.batcher.Store(qos.NewBatcher(s.searchLocked, qos.BatcherOptions{
 				MaxBatch:      s.BatchMaxSize,
 				MaxConcurrent: s.BatchMaxConcurrent,
 				Observer: qos.Observer{
@@ -647,22 +640,18 @@ func (s *Server) Close() {
 }
 
 // searchLocked runs one software-backend engine batch under the read
-// lock and feeds the shared metrics/recall instruments. The cache
+// lock and feeds the shared metrics/recall instruments; it is also the
+// batcher's RunFunc, one call per coalesced batch. The cache
 // generation is snapshotted under the same lock the engine runs under,
 // so a row carrying it can never be stored after an invalidation that
 // its search did not observe.
-func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, *BatchReport, error) {
+func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, error) {
 	opt := SearchOptions{W: w, K: k, Mode: ClusterMajor}
 	kn, effort, adaptOn := s.adaptiveKnobs()
 	if adaptOn {
 		// The engine forces query-at-a-time under an enabled policy;
 		// disabled knob values keep this bit-identical to the fixed path.
-		opt.Adaptive = AdaptiveOptions{
-			StopPatience:   kn.StopPatience,
-			MinClusters:    kn.MinClusters,
-			EscalateFactor: kn.EscalateFactor,
-			Margin:         kn.Margin,
-		}
+		opt.Adaptive = kn.Params()
 	}
 	s.mu.RLock()
 	var gen uint64
@@ -672,30 +661,21 @@ func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int
 	rep, err := s.idx.SearchBatchContext(ctx, queries, opt)
 	s.mu.RUnlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.recordSearch(len(queries), rep, adaptOn)
 	if s.Recall != nil {
 		s.Recall.OfferBatch(queries, rep.Results)
 	}
+	stages := trace.Stages{
+		Select: rep.SelectTime, Scan: rep.ScanTime, Rerank: rep.RerankTime, Merge: rep.MergeTime,
+		Scanned: rep.ScannedVectors, Clusters: rep.ClustersScanned, Escalated: rep.Escalations,
+	}
 	rows := make([]servedRow, len(rep.Results))
 	for i, r := range rep.Results {
-		rows[i] = servedRow{
-			res: r, gen: gen,
-			sel: rep.SelectTime, scan: rep.ScanTime, merge: rep.MergeTime,
-			rerank:   rep.RerankTime,
-			scanned:  rep.ScannedVectors,
-			clusters: rep.ClustersScanned, escalated: rep.Escalations,
-			effort: effort,
-		}
+		rows[i] = servedRow{res: r, gen: gen, stages: stages, effort: effort}
 	}
-	return rows, rep, nil
-}
-
-// runCoalesced is the batcher's RunFunc: one coalesced batch.
-func (s *Server) runCoalesced(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, error) {
-	rows, _, err := s.searchLocked(ctx, queries, w, k)
-	return rows, err
+	return rows, nil
 }
 
 // appendCacheKey builds the result-cache key for one query: the search
@@ -847,8 +827,8 @@ const requestIDHeader = "X-Request-ID"
 // searchScratch is the pooled per-request working set of handleSearch:
 // the request body as read, the decoded request (inner query buffers
 // included), the cache keys of the misses (built for the lookup, reused
-// for the store), the per-query row table, the response arena and the
-// encoded reply. Everything that outlives the request copies out of
+// for the store), the per-query row table, the response's row headers and
+// the encoded reply. Everything that outlives the request copies out of
 // these buffers (the batcher and cache copy queries; the reply is
 // written before the handler returns), so the whole set recycles
 // alloc-free.
@@ -861,34 +841,20 @@ type searchScratch struct {
 	miss   [][]float32
 	missAt []int
 	out    [][]wire.Result
-	arena  []wire.Result
 	enc    []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// appendResults builds the response rows in sc's pooled arena.
+// appendResults gathers the served rows into sc's pooled response
+// headers. The rows themselves are shared, not copied: a row may sit in
+// the result cache, and the encoder only reads it.
 func appendResults(sc *searchScratch, rows []servedRow) [][]wire.Result {
-	total := 0
+	out := sc.out[:0]
 	for _, r := range rows {
-		total += len(r.res)
+		out = append(out, r.res)
 	}
-	if cap(sc.arena) < total {
-		sc.arena = make([]wire.Result, 0, total)
-	}
-	arena := sc.arena[:0]
-	if cap(sc.out) < len(rows) {
-		sc.out = make([][]wire.Result, len(rows))
-	}
-	out := sc.out[:len(rows)]
-	for i, r := range rows {
-		lo := len(arena)
-		for _, res := range r.res {
-			arena = append(arena, wire.Result{ID: res.ID, Score: res.Score})
-		}
-		out[i] = arena[lo:len(arena):len(arena)]
-	}
-	sc.arena = arena
+	sc.out = out
 	return out
 }
 
@@ -965,6 +931,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.K <= 0 {
 		req.K = s.DefaultK
+	}
+	if req.K > wire.MaxK {
+		s.httpError(w, http.StatusBadRequest, "k of %d exceeds limit %d", req.K, wire.MaxK)
+		return
 	}
 	backend := req.Backend
 	if backend == "" {
@@ -1087,19 +1057,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 					tr.Batch = info.Size
 					tr.AddSpan("coalesce", info.Wait)
 					// Stage spans of the engine batch the query rode in.
-					tr.AddSpan("select", row.sel)
-					tr.AddSpan("scan", row.scan)
-					if row.rerank > 0 {
-						tr.AddSpan("rerank", row.rerank)
-					}
-					tr.AddSpan("merge", row.merge)
-					tr.Scanned = row.scanned
-					tr.ClustersScanned = row.clusters
-					tr.Escalated = row.escalated
+					tr.AddStages(row.stages)
 					tr.Effort = row.effort
 				}
 			} else {
-				mrows, rep, err := s.searchLocked(ctx, miss, req.W, req.K)
+				mrows, err := s.searchLocked(ctx, miss, req.W, req.K)
 				if err != nil {
 					finish(searchErrStatus(err))
 					s.httpError(w, searchErrStatus(err), "search: %v", err)
@@ -1113,21 +1075,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 					if tnt != nil {
 						tr.Tenant = tnt.Name
 					}
-					tr.AddSpan("select", rep.SelectTime)
-					tr.AddSpan("scan", rep.ScanTime)
-					if rep.RerankTime > 0 {
-						tr.AddSpan("rerank", rep.RerankTime)
-					}
-					tr.AddSpan("merge", rep.MergeTime)
-					tr.Scanned = rep.ScannedVectors
-					tr.ClustersScanned = rep.ClustersScanned
-					tr.Escalated = rep.Escalations
+					tr.AddStages(mrows[0].stages) // one batch: every row carries the same
 				}
 			}
 			if cache != nil {
 				lo := 0
 				for j, at := range missAt {
-					cache.Put(keys[lo:keyEnd[j]], req.Queries[at], rows[at], rows[at].gen)
+					// A row is a window into its engine batch's arena;
+					// the cache keeps a copy so an entry pins k results,
+					// not the whole batch's.
+					row := rows[at]
+					row.res = slices.Clone(row.res)
+					cache.Put(keys[lo:keyEnd[j]], req.Queries[at], row, row.gen)
 					lo = keyEnd[j]
 				}
 			}
@@ -1163,7 +1122,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if tr != nil {
 			tr.AddSpan("simulate", simDur)
 		}
-		resp.Results = toSearchResults(rep.Results)
+		resp.Results = rep.Results
 		resp.Cycles = rep.Cycles
 		resp.TrafficBytes = rep.TrafficBytes
 		resp.ChipEnergyJ = rep.ChipEnergyJ
@@ -1241,18 +1200,6 @@ func (s *Server) recordSearch(nq int, rep *BatchReport, adaptOn bool) {
 		s.m.adaptClusters.Add(uint64(rep.ClustersScanned))
 		s.m.adaptEsc.Add(uint64(rep.Escalations))
 	}
-}
-
-func toSearchResults(in [][]Result) [][]wire.Result {
-	out := make([][]wire.Result, len(in))
-	for i, rs := range in {
-		row := make([]wire.Result, len(rs))
-		for j, res := range rs {
-			row[j] = wire.Result{ID: res.ID, Score: res.Score}
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // addScratch is the pooled working set of handleAdd. The index and the

@@ -18,7 +18,7 @@ func TestServerAdaptiveStaticPolicy(t *testing.T) {
 	idx, base, queries := buildTestIndex(t, L2, 16)
 	s := NewServer(idx)
 	s.CacheSize = -1
-	s.BatchWindow = -1
+	s.BatchMaxConcurrent = -1
 	s.Adaptive = AdaptiveServing{Policy: AdaptiveOptions{StopPatience: 2, MinClusters: 2}}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -152,7 +152,7 @@ func TestServerRecallTargetConvergence(t *testing.T) {
 	s := NewServer(idx)
 	s.DefaultW = 24
 	s.CacheSize = -1
-	s.BatchWindow = -1
+	s.BatchMaxConcurrent = -1
 	s.Recall = est
 	s.Adaptive = AdaptiveServing{
 		Policy:       AdaptiveOptions{StopPatience: 2, MinClusters: 2},

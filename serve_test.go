@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"anna/internal/wal"
+	"anna/internal/wire"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server, [][]float32) {
@@ -93,6 +94,9 @@ func TestServerSearchErrors(t *testing.T) {
 			s.MaxBatch = 2
 			return searchRequest{Queries: [][]float32{base[0], base[1], base[2]}}
 		}(), http.StatusBadRequest},
+		// Unbounded, this k sizes a 32 GiB result arena and the process dies.
+		{"huge k", searchRequest{Queries: [][]float32{base[0]}, K: math.MaxInt32}, http.StatusBadRequest},
+		{"still serving", searchRequest{Queries: [][]float32{base[0]}, K: wire.MaxK}, http.StatusOK},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, ts.URL+"/search", c.body)

@@ -122,6 +122,7 @@ func TestServerFrameErrorsAreJSON(t *testing.T) {
 		"wrong dim":     {frameOf(searchRequest{Queries: [][]float32{{1, 2}}}), "dim"},
 		"over MaxBatch": {frameOf(searchRequest{Queries: [][]float32{base[0], base[1], base[2]}}), "exceeds limit 2"},
 		"no queries":    {frameOf(searchRequest{}), "no queries"},
+		"huge k":        {frameOf(searchRequest{Queries: [][]float32{base[0]}, K: math.MaxInt32}), "k of 2147483647 exceeds limit"},
 		"truncated":     {good[:len(good)-2], "malformed"},
 		"wrong kind":    {append([]byte{3}, good[1:]...), "malformed"},
 		"version 2":     {append([]byte{good[0], 2}, good[2:]...), "version"},

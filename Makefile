@@ -33,8 +33,8 @@ bench-test:
 bench-ab:
 	PAIRS=$(PAIRS) bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
 
-race:
-	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/wire/... ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .
+# One race package list: ci-race's, which the CI race job mirrors.
+race: ci-race
 
 # Mirrors .github/workflows/ci.yml exactly (same commands, same package
 # lists) so a green `make ci` means a green CI run. Keep in sync.
@@ -73,11 +73,12 @@ check-orphans:
 # The CI race job: engine worker pool, fused scan path, parallel
 # build/ingest pipeline (kmeans, pq batch encoder, ivf build), metrics
 # instruments, trace ring, WAL, QoS layer (dynamic batcher, result
-# cache, token buckets), HTTP serving layer (incl. the shadow recall
-# sampler and the concurrent /search + /add cache-invalidation test).
+# cache, token buckets), HTTP serving layer (the httpx front-door
+# skeleton and its contract table, the shadow recall sampler, the
+# concurrent /search + /add cache-invalidation test).
 .PHONY: ci-race
 ci-race:
-	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/wire/... ./internal/cluster/... ./internal/tsdb/... ./internal/slo/... .
+	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/wire/... ./internal/httpx/... ./internal/cluster/... ./internal/tsdb/... ./internal/slo/... .
 
 # The CI cluster-integration job: the multi-process fault-injection
 # harness (shard processes SIGKILLed mid-load) plus the router's

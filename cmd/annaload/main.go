@@ -53,6 +53,7 @@ import (
 	"anna"
 	"anna/internal/cluster"
 	"anna/internal/dataset"
+	"anna/internal/httpx"
 	"anna/internal/pq"
 	"anna/internal/qos"
 )
@@ -545,7 +546,7 @@ func main() {
 				servers = append(servers, ss)
 				urls = append(urls, hs.URL)
 			}
-			rt, err := cluster.New(cluster.Config{Shards: urls, DefaultW: *w, DefaultK: *k})
+			rt, err := cluster.New(cluster.Config{Shards: urls, Limits: httpx.Limits{DefaultW: *w, DefaultK: *k}})
 			if err != nil {
 				fatal("configuring router: %v", err)
 			}

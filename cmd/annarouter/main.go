@@ -26,52 +26,33 @@
 //	GET  /healthz  router process liveness
 //	GET  /readyz   200 while at least one shard is ready
 //	GET  /metrics  Prometheus text exposition
+//	GET  /debug/queries     recent cluster traces, slowest first
+//	GET  /debug/trace/{id}  one cluster trace stitched with its shards'
+//	GET  /debug/tsdb        embedded metrics ring (unless -scrape-every < 0)
+//	GET  /alerts            SLO burn-rate state
+//	GET  /debug/dash        live dashboard
 //
 // Observability (docs/ARCHITECTURE.md §4k): every routed request
 // carries an X-Request-ID and the X-Anna-Trace context to its shards,
-// so GET /debug/trace/{id} serves the cluster trace stitched with each
-// shard's view of the same request, GET /debug/queries lists recent
-// traces slowest-first with per-shard time breakdowns, GET /debug/tsdb
-// serves the embedded metrics ring, GET /alerts the SLO burn-rate
-// state, and GET /debug/dash a self-contained live dashboard.
+// which is what lets /debug/trace/{id} stitch their views of it;
+// /debug/queries adds per-shard time breakdowns.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"log/slog"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"anna/internal/cluster"
+	"anna/internal/httpx"
 	"anna/internal/qos"
 )
 
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("-log must be text or json (got %q)", format)
-	}
-}
-
 func main() {
+	fl := httpx.NewFlags(":7080")
 	var (
-		addr     = flag.String("addr", ":7080", "listen address")
-		shards   = flag.String("shards", "", "comma-separated shard base URLs in stripe order (required)")
-		stride   = flag.Int64("stride", cluster.DefaultStride, "global-ID stripe width per shard")
-		defaultW = flag.Int("w", 32, "default clusters inspected per query")
-		defaultK = flag.Int("k", 10, "default results per query")
-		maxBatch = flag.Int("maxbatch", 1024, "maximum queries per request")
+		shards = flag.String("shards", "", "comma-separated shard base URLs in stripe order (required)")
+		stride = flag.Int64("stride", cluster.DefaultStride, "global-ID stripe width per shard")
 
 		shardTimeout  = flag.Duration("shard-timeout", 2*time.Second, "per-attempt deadline for shard searches")
 		addTimeout    = flag.Duration("add-timeout", 10*time.Second, "per-attempt deadline for shard adds")
@@ -81,28 +62,9 @@ func main() {
 		hedgeMax      = flag.Duration("hedge-max", 0, "hedge delay ceiling (default 10x -hedge-after)")
 		breakFailures = flag.Int("breaker-failures", 5, "consecutive failures that open a shard's circuit breaker")
 		breakCooldown = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before its half-open probe")
-
-		slowQuery   = flag.Duration("slow", 250*time.Millisecond, "log and always record /search requests slower than this (negative = never)")
-		traceSample = flag.Int("trace-sample", 64, "trace 1-in-N untagged queries into /debug/queries (negative = only X-Request-ID-tagged queries)")
-		traceRing   = flag.Int("trace-ring", 256, "recent cluster traces buffered for /debug/queries and /debug/trace/{id}")
-		scrapeEvery = flag.Duration("scrape-every", 10*time.Second, "embedded tsdb scrape interval for /debug/tsdb and the SLO engine (negative = disabled)")
-		sloLatency  = flag.Duration("slo-latency-p99", 0, "latency SLO: p99 /search bound evaluated by burn-rate alerts on /alerts (0 = off)")
-		sloAvail    = flag.Float64("slo-availability", 0, "availability SLO objective in (0,1), partial-coverage-aware, e.g. 0.999 (0 = off)")
-
-		grace     = flag.Duration("grace", 10*time.Second, "graceful-shutdown drain window")
-		logFormat = flag.String("log", "text", `structured log format: "text" or "json"`)
 	)
-	flag.Parse()
-
-	logger, err := newLogger(*logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "annarouter: %v\n", err)
-		os.Exit(1)
-	}
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	fl.Parse("annarouter")
+	logger := fl.Logger
 
 	var bases []string
 	for _, s := range strings.Split(*shards, ",") {
@@ -111,7 +73,7 @@ func main() {
 		}
 	}
 	if len(bases) == 0 {
-		fatal("no shards: pass -shards with at least one annaserve base URL")
+		fl.Fatal("no shards: pass -shards with at least one annaserve base URL")
 	}
 
 	// The flag surface uses 0 = disabled for -retries; the library uses
@@ -121,19 +83,10 @@ func main() {
 		r = -1
 	}
 	rt, err := cluster.New(cluster.Config{
-		Shards:   bases,
-		Stride:   *stride,
-		DefaultW: *defaultW,
-		DefaultK: *defaultK,
-		MaxBatch: *maxBatch,
-
-		Logger:           logger,
-		SlowQuery:        *slowQuery,
-		TraceSampleEvery: *traceSample,
-		TraceRingSize:    *traceRing,
-		ScrapeEvery:      *scrapeEvery,
-		SLOLatencyP99:    *sloLatency,
-		SLOAvailability:  *sloAvail,
+		Shards:  bases,
+		Stride:  *stride,
+		Limits:  fl.Limits,
+		Options: fl.Options,
 
 		Shard: cluster.ShardOptions{
 			Timeout:          *shardTimeout,
@@ -148,41 +101,17 @@ func main() {
 		},
 	})
 	if err != nil {
-		fatal("configuring router failed", "err", err)
+		fl.Fatal("configuring router failed", "err", err)
 	}
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("routing", "addr", *addr, "shards", len(bases), "stride", *stride)
+	wait := httpx.Listen(fl.Addr, rt.Handler())
+	logger.Info("routing", "addr", fl.Addr, "shards", len(bases), "stride", *stride)
 	for i, b := range bases {
 		logger.Info("shard", "index", i, "base", b)
 	}
-
-	select {
-	case err := <-errc:
-		fatal("router failed", "err", err)
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining", "grace", *grace)
-		sctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			logger.Warn("drain window expired, closing", "err", err)
-			hs.Close()
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("router error during shutdown", "err", err)
-		}
-		rt.Close()
-		logger.Info("shut down cleanly")
+	if err := wait(logger, fl.Grace); err != nil {
+		fl.Fatal("router failed", "err", err)
 	}
+	rt.Close()
+	logger.Info("shut down cleanly")
 }

@@ -11,10 +11,17 @@
 //	POST /search  {"queries": [[...]], "w": 32, "k": 10}
 //	POST /add     {"vectors": [[...]]}
 //	POST /admin/snapshot  checkpoint the index, trim the WAL (needs -data)
+//	GET  /admin/state     full serialized index for follower bootstrap (needs -data)
+//	GET  /admin/wal/tail  WAL frames for follower catch-up (needs -data)
 //	GET  /stats
 //	GET  /healthz        process liveness (200 even while recovering)
 //	GET  /readyz         503 until WAL recovery completes, then 200
 //	GET  /metrics        Prometheus text exposition
+//	GET  /debug/queries     recent traces, slowest first
+//	GET  /debug/trace/{id}  one trace by query ID
+//	GET  /debug/tsdb        embedded metrics ring (unless -scrape-every < 0)
+//	GET  /alerts            SLO burn-rate state
+//	GET  /debug/dash        live dashboard
 //	GET  /debug/pprof/*  runtime profiles (disable with -pprof=false)
 //
 // With -data, the served index is durable: /add batches are written to a
@@ -72,34 +79,17 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"anna"
 	"anna/internal/dataset"
+	"anna/internal/httpx"
 	"anna/internal/qos"
 	"anna/internal/simd"
 )
-
-// newLogger builds the process-wide structured logger from -log.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("-log must be text or json (got %q)", format)
-	}
-}
 
 // parseSyncPolicy maps the -wal-sync flag to store options: "always",
 // "none", or a group-commit interval like "100ms".
@@ -150,25 +140,17 @@ func newRecallEstimator(path string, metric anna.Metric, every, k int) (*anna.Re
 }
 
 func main() {
+	fl := httpx.NewFlags(":8080")
 	var (
 		indexPath   = flag.String("index", "index.anna", "index file from annatrain")
-		addr        = flag.String("addr", ":8080", "listen address")
-		defaultW    = flag.Int("w", 32, "default clusters inspected per query")
-		defaultK    = flag.Int("k", 10, "default results per query")
-		maxBatch    = flag.Int("maxbatch", 1024, "maximum queries per request")
 		maxInflight = flag.Int("maxinflight", 256, "maximum concurrent /search requests before 429 (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "per-search deadline propagated into the engine (0 = none)")
 		pprofOn     = flag.Bool("pprof", true, "serve /debug/pprof/ profiles")
-		grace       = flag.Duration("grace", 10*time.Second, "graceful-shutdown drain window")
 		withAccel   = flag.Bool("accel", false, `also serve the simulated ANNA backend (requests with "backend":"anna")`)
 		dataDir     = flag.String("data", "", "durable data directory: WAL /add batches, snapshot on shutdown, recover on start (empty = serve -index in memory only)")
 		walSync     = flag.String("wal-sync", "always", `WAL fsync policy: "always", "none", or a group-commit interval like "100ms"`)
 		snapEvery   = flag.Int("snapshot-every", 0, "auto-snapshot after this many added vectors (0 = only /admin/snapshot and shutdown)")
 		workers     = flag.Int("workers", 0, "ingest parallelism for /add and WAL replay (0 = GOMAXPROCS); the index is byte-identical for any value")
-		logFormat   = flag.String("log", "text", `structured log format: "text" or "json"`)
-		slowQuery   = flag.Duration("slow", 250*time.Millisecond, "log /search requests slower than this (negative = never)")
-		traceSample = flag.Int("trace-sample", 64, "trace 1-in-N untagged queries into /debug/queries (negative = only X-Request-ID-tagged queries)")
-		traceRing   = flag.Int("trace-ring", 256, "recent traces buffered for /debug/queries")
 		batchMax    = flag.Int("batch-max", 64, "most queries a freed engine slot takes from the backlog as one coalesced batch")
 		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: coalesced batches executing at once (0 = GOMAXPROCS; negative disables coalescing of single-query searches that find every slot busy)")
 		cacheSize   = flag.Int("cache", 4096, "quantized-query result-cache entries (negative = disabled)")
@@ -176,97 +158,70 @@ func main() {
 		recallFvecs = flag.String("recall-fvecs", "", "fvecs reference corpus for live shadow recall estimation (empty = disabled)")
 		recallEvery = flag.Int("recall-every", 100, "shadow-check 1-in-N served queries against exact search (with -recall-fvecs)")
 		recallK     = flag.Int("recall-k", 10, "recall@K depth of the shadow estimator (with -recall-fvecs)")
-		scrapeEvery = flag.Duration("scrape-every", 10*time.Second, "embedded tsdb scrape interval for /debug/tsdb and the SLO engine (negative = disabled)")
-		sloLatency  = flag.Duration("slo-latency-p99", 0, "latency SLO: p99 /search bound evaluated by burn-rate alerts on /alerts (0 = off)")
-		sloAvail    = flag.Float64("slo-availability", 0, "availability SLO objective in (0,1), e.g. 0.999 (0 = off)")
 		sloRecall   = flag.Float64("slo-recall", 0, "recall SLO: rolling shadow recall@k floor in (0,1] (requires -recall-fvecs; 0 = off)")
 		adaptiveOn  = flag.Bool("adaptive", false, "per-query adaptive effort: early scan termination, plus SQ8 precision escalation on rerank-enabled indexes")
 		stopPat     = flag.Int("stop-patience", 4, "stop a query's cluster scan after this many consecutive non-improving clusters (with -adaptive)")
 		escMargin   = flag.Float64("margin", 0.2, "escalation band width as a fraction of the candidate score spread (with -adaptive, rerank-enabled indexes)")
 		recallTgt   = flag.Float64("recall-target", 0, "recall@k SLO in (0,1]: a closed-loop controller tunes adaptive effort against the live estimator (requires -recall-fvecs)")
 	)
-	flag.Parse()
-
-	logger, err := newLogger(*logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "annaserve: %v\n", err)
-		os.Exit(1)
-	}
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
-	}
+	fl.Parse("annaserve")
+	logger := fl.Logger
 
 	// Listen before recovery: while the store replays its WAL the gate
 	// answers /healthz 200 (process alive) but /readyz and everything
 	// else 503 with a jittered Retry-After, so orchestrators neither
 	// kill a recovering node nor route traffic to it early.
 	gate := anna.NewReadinessGate()
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           gate,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "ready", false)
+	wait := httpx.Listen(fl.Addr, gate)
+	logger.Info("listening", "addr", fl.Addr, "ready", false)
 
 	var (
 		idx   *anna.Index
 		store *anna.Store
+		err   error
 	)
 	if *dataDir != "" {
 		opt, perr := parseSyncPolicy(*walSync)
 		if perr != nil {
-			fatal(perr.Error())
+			fl.Fatal(perr.Error())
 		}
 		opt.Workers = *workers
 		opt.Logger = logger
 		store, err = openStore(*dataDir, *indexPath, opt, logger)
 		if err != nil {
-			fatal("opening store failed", "err", err)
+			fl.Fatal("opening store failed", "err", err)
 		}
 		idx = store.Index()
 	} else {
 		idx, err = anna.LoadIndexFile(*indexPath)
 		if err != nil {
-			fatal("loading index failed", "index", *indexPath, "err", err)
+			fl.Fatal("loading index failed", "index", *indexPath, "err", err)
 		}
 		idx.SetIngestWorkers(*workers)
 	}
 	srv := anna.NewServer(idx)
-	srv.DefaultW = *defaultW
-	srv.DefaultK = *defaultK
-	srv.MaxBatch = *maxBatch
+	srv.Options = fl.Options
+	srv.Limits = fl.Limits
 	srv.MaxInFlight = *maxInflight
 	srv.SearchTimeout = *timeout
 	srv.DisablePprof = !*pprofOn
 	srv.Store = store
 	srv.SnapshotEvery = *snapEvery
-	srv.Logger = logger
-	srv.SlowQuery = *slowQuery
-	srv.TraceSampleEvery = *traceSample
-	srv.TraceRingSize = *traceRing
 	srv.BatchMaxSize = *batchMax
 	srv.BatchMaxConcurrent = *batchConc
 	srv.CacheSize = *cacheSize
-	srv.ScrapeEvery = *scrapeEvery
-	srv.SLOLatencyP99 = *sloLatency
-	srv.SLOAvailability = *sloAvail
 	srv.SLORecall = *sloRecall
 	if *tenantsSpec != "" {
 		tenants, terr := qos.ParseTenants(*tenantsSpec)
 		if terr != nil {
-			fatal("parsing -tenants failed", "err", terr)
+			fl.Fatal("parsing -tenants failed", "err", terr)
 		}
 		srv.Tenants = tenants
 	}
 	if *recallFvecs != "" {
 		est, err := newRecallEstimator(*recallFvecs, idx.Metric(), *recallEvery, *recallK)
 		if err != nil {
-			fatal("starting recall estimator failed", "err", err)
+			fl.Fatal("starting recall estimator failed", "err", err)
 		}
 		defer est.Close()
 		srv.Recall = est
@@ -274,10 +229,10 @@ func main() {
 			"corpus", *recallFvecs, "sample_every", *recallEvery, "k", *recallK)
 	}
 	if *recallTgt > 0 && srv.Recall == nil {
-		fatal("-recall-target requires -recall-fvecs: the live estimator is the controller's input")
+		fl.Fatal("-recall-target requires -recall-fvecs: the live estimator is the controller's input")
 	}
 	if *sloRecall > 0 && srv.Recall == nil {
-		fatal("-slo-recall requires -recall-fvecs: the shadow estimator feeds the recall SLO")
+		fl.Fatal("-slo-recall requires -recall-fvecs: the shadow estimator feeds the recall SLO")
 	}
 	if *adaptiveOn || *recallTgt > 0 {
 		srv.Adaptive = anna.AdaptiveServing{
@@ -294,12 +249,12 @@ func main() {
 	}
 	if *withAccel {
 		cfg := anna.DefaultAcceleratorConfig()
-		if *defaultK > cfg.TopK {
-			cfg.TopK = *defaultK
+		if fl.DefaultK > cfg.TopK {
+			cfg.TopK = fl.DefaultK
 		}
 		acc, err := anna.NewAccelerator(idx, cfg)
 		if err != nil {
-			fatal("configuring accelerator failed", "err", err)
+			fl.Fatal("configuring accelerator failed", "err", err)
 		}
 		srv.Accelerator = acc
 	}
@@ -310,40 +265,26 @@ func main() {
 		durable = fmt.Sprintf("durable in %s (wal-sync %s)", *dataDir, *walSync)
 	}
 	logger.Info("serving", "vectors", idx.Len(), "dim", idx.Dim(),
-		"metric", idx.Metric().String(), "addr", *addr, "mode", durable)
+		"metric", idx.Metric().String(), "addr", fl.Addr, "mode", durable)
 	logger.Info("simd kernels", "dispatch", simd.Dispatch(),
 		"features", simd.Features(), "reason", simd.Reason())
 
-	select {
-	case err := <-errc:
-		fatal("server failed", "err", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills immediately
-		logger.Info("signal received, draining", "grace", *grace)
-		sctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			logger.Warn("drain window expired, closing", "err", err)
-			hs.Close()
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server error during shutdown", "err", err)
-		}
-		// Order matters: the HTTP server has drained, but coalesced
-		// searches may still sit in the QoS batcher. Drain it before the
-		// store snapshot so no in-flight engine batch runs against a
-		// closing index.
-		srv.Close()
-		if store != nil {
-			// Checkpoint so the next start replays an empty WAL. Failure
-			// is not fatal: the WAL still holds everything acknowledged.
-			if err := store.Snapshot(); err != nil {
-				logger.Error("shutdown snapshot failed", "err", err)
-			}
-			if err := store.Close(); err != nil {
-				logger.Error("closing store failed", "err", err)
-			}
-		}
-		logger.Info("shut down cleanly")
+	if err := wait(logger, fl.Grace); err != nil {
+		fl.Fatal("server failed", "err", err)
 	}
+	// Order matters: the HTTP server has drained, but coalesced searches
+	// may still sit in the QoS batcher. Drain it before the store
+	// snapshot so no in-flight engine batch runs against a closing index.
+	srv.Close()
+	if store != nil {
+		// Checkpoint so the next start replays an empty WAL. Failure is
+		// not fatal: the WAL still holds everything acknowledged.
+		if err := store.Snapshot(); err != nil {
+			logger.Error("shutdown snapshot failed", "err", err)
+		}
+		if err := store.Close(); err != nil {
+			logger.Error("closing store failed", "err", err)
+		}
+	}
+	logger.Info("shut down cleanly")
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/httpx"
 	"anna/internal/qos"
 	"anna/internal/wire"
 )
@@ -248,7 +249,7 @@ func fakeShardSet(t *testing.T, handlers []http.Handler, opt ShardOptions) *Rout
 		t.Cleanup(ts.Close)
 		bases[i] = ts.URL
 	}
-	rt, err := New(Config{Shards: bases, Shard: opt, DefaultK: 10, DefaultW: 32})
+	rt, err := New(Config{Shards: bases, Shard: opt, Limits: httpx.Limits{DefaultK: 10, DefaultW: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}

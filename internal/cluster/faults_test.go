@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"anna/internal/cluster/faultproxy"
+	"anna/internal/httpx"
 	"anna/internal/qos"
 )
 
@@ -25,7 +26,7 @@ func faultedShardSet(t *testing.T, handlers []http.Handler, opt ShardOptions) (*
 		bases[i] = url
 		proxies[i] = p
 	}
-	rt, err := New(Config{Shards: bases, Shard: opt, DefaultK: 10, DefaultW: 32})
+	rt, err := New(Config{Shards: bases, Shard: opt, Limits: httpx.Limits{DefaultK: 10, DefaultW: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}

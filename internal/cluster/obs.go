@@ -5,149 +5,45 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"anna/internal/slo"
-	"anna/internal/tsdb"
+	"anna/internal/trace"
 )
 
-// Router-side observability (docs/ARCHITECTURE.md §4k): the embedded
-// tsdb snapshots the routing counters, the SLO engine evaluates burn
-// rates over them, and /debug/trace/{id} stitches the router's cluster
-// trace together with the shard-side traces recorded under the same ID.
+// Router-side observability (docs/ARCHITECTURE.md §4k): httpx owns the
+// tsdb, SLO engine and trace endpoints; what the router adds is the
+// per-shard time breakdown on /debug/queries and, on /debug/trace/{id},
+// the stitch of its cluster trace with the shard-side traces recorded
+// under the same ID.
 
-// initObs builds the tsdb and SLO engine from cfg, mirroring the
-// annaserve wiring. A negative ScrapeEvery disables everything.
-func (rt *Router) initObs(cfg Config) {
-	if cfg.ScrapeEvery < 0 {
-		return
-	}
-	interval := cfg.ScrapeEvery
-	if interval == 0 {
-		interval = 10 * time.Second
-	}
-	opt := cfg.SLOOptions
-	if opt.Logger == nil {
-		opt.Logger = rt.logger
-	}
-	slowLong := opt.SlowLong
-	if slowLong <= 0 {
-		slowLong = 6 * time.Hour
-	}
-	capacity := int(slowLong/interval) + 8
-	if capacity < 256 {
-		capacity = 256
-	}
-	if capacity > 4096 {
-		capacity = 4096
-	}
-
-	searchHist := rt.duration["search"]
-	series := []tsdb.Series{
-		{Name: "requests", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.resps.Load()) }},
-		{Name: "errors_5xx", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.resps5xx.Load()) }},
-		{Name: "partials", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.partials.Value()) }},
-		{Name: "latency_p99_ms", Kind: tsdb.GaugeKind, Sample: func() float64 { return searchHist.Quantile(0.99) * 1000 }},
-		{Name: "goroutines", Kind: tsdb.GaugeKind, Sample: func() float64 { return float64(runtime.NumGoroutine()) }},
-	}
-	var slos []slo.SLO
-	if cfg.SLOLatencyP99 > 0 {
-		// Windowed, bucket-derived counters — not the cumulative p99 —
-		// so the alert clears once the slowness stops (see the annaserve
-		// twin of this wiring for the full rationale).
-		bound := searchHist.NearestBound(cfg.SLOLatencyP99.Seconds())
-		series = append(series,
-			tsdb.Series{Name: "latency_slow", Kind: tsdb.CounterKind,
-				Sample: func() float64 { return float64(searchHist.Count() - searchHist.CountLE(bound)) }},
-			tsdb.Series{Name: "latency_total", Kind: tsdb.CounterKind,
-				Sample: func() float64 { return float64(searchHist.Count()) }},
-		)
-		slos = append(slos, slo.SLO{Name: "latency_p99", Objective: 0.99})
-	}
-	if cfg.SLOAvailability > 0 {
-		slos = append(slos, slo.SLO{Name: "availability", Objective: cfg.SLOAvailability})
-	}
-	db := tsdb.New(capacity, series...)
-	for i := range slos {
-		switch slos[i].Name {
-		case "latency_p99":
-			slos[i].BadRatio = slo.BadShare(db, "latency_total", slo.Part{Series: "latency_slow", Weight: 1})
-		case "availability":
-			// Partial-coverage-aware: a degraded answer (some shards
-			// missing) costs half an error against the budget.
-			slos[i].BadRatio = slo.BadShare(db, "requests",
-				slo.Part{Series: "errors_5xx", Weight: 1},
-				slo.Part{Series: "partials", Weight: 0.5})
-		}
-	}
-	eng := slo.New(opt, slos...)
-	eng.Register(rt.reg)
-	db.OnScrape(eng.EvaluateAt)
-	db.Start(interval)
-	rt.db, rt.eng = db, eng
-}
-
-// handleDebugQueries serves the router's recent traces, slowest first,
-// each with a per-shard time breakdown computed from its hops. ?n=
-// bounds the response.
-func (rt *Router) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	traces := rt.rec.Snapshot()
-	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Total > traces[j].Total })
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(traces) {
-		traces = traces[:n]
-	}
+// shardBreakdown wraps one /debug/queries trace with its total hop time
+// per shard.
+func shardBreakdown(t *trace.Trace) any {
 	type entry struct {
 		Trace  any              `json:"trace"`
 		Shards map[string]int64 `json:"shard_ns,omitempty"` // total hop time per shard
 	}
-	out := make([]entry, len(traces))
-	for i, t := range traces {
-		e := entry{Trace: t}
-		if len(t.Hops) > 0 {
-			e.Shards = make(map[string]int64, len(t.Hops))
-			for _, h := range t.Hops {
-				e.Shards[strconv.Itoa(h.Shard)] += int64(h.Duration)
-			}
+	e := entry{Trace: t}
+	if len(t.Hops) > 0 {
+		e.Shards = make(map[string]int64, len(t.Hops))
+		for _, h := range t.Hops {
+			e.Shards[strconv.Itoa(h.Shard)] += int64(h.Duration)
 		}
-		out[i] = e
 	}
-	total, slow := rt.rec.Recorded()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"recorded_total": total,
-		"slow_total":     slow,
-		"count":          len(out),
-		"traces":         out,
-	})
+	return e
 }
 
 // stitchTimeout bounds each shard-side trace fetch during stitching.
 const stitchTimeout = 2 * time.Second
 
-// handleDebugTrace serves one cluster trace by ID, stitched on demand:
-// the router's own trace (hops included) plus each touched shard's
-// /debug/trace/{id} view of the same request. The shard fetches go
-// through the raw HTTP client, not Shard.Do — a debug read must not
-// perturb serving stats, the retry budget, or the breaker.
-func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id := r.PathValue("id")
-	t := rt.rec.Get(id)
-	if t == nil {
-		rt.httpError(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
-		return
-	}
+// stitch builds the /debug/trace/{id} body on demand: the router's own
+// trace (hops included) plus each touched shard's /debug/trace/{id}
+// view of the same request. The shard fetches go through the raw HTTP
+// client, not Shard.Do — a debug read must not perturb serving stats,
+// the retry budget, or the breaker.
+func (rt *Router) stitch(r *http.Request, t *trace.Trace) any {
 	touched := map[int]bool{}
 	for _, h := range t.Hops {
 		touched[h.Shard] = true
@@ -162,7 +58,7 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), stitchTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.Base+"/debug/trace/"+id, nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.Base+"/debug/trace/"+t.ID, nil)
 			if err != nil {
 				return
 			}
@@ -183,9 +79,8 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		}(idx, s)
 	}
 	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	return map[string]any{
 		"trace":        t,
 		"shard_traces": shardTraces,
-	})
+	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"anna"
 	"anna/internal/cluster/faultproxy"
+	"anna/internal/httpx"
 	"anna/internal/slo"
 	"anna/internal/trace"
 )
@@ -285,12 +286,14 @@ func TestLatencySLOFiresAndClears(t *testing.T) {
 		proxies[i] = p
 	}
 	rt, err := New(Config{
-		Shards: bases, Shard: opt, DefaultK: 10, DefaultW: 32,
-		ScrapeEvery:   20 * time.Millisecond,
-		SLOLatencyP99: 40 * time.Millisecond,
-		SLOOptions: slo.Options{
-			FastShort: 100 * time.Millisecond, FastLong: 300 * time.Millisecond,
-			SlowShort: 200 * time.Millisecond, SlowLong: 600 * time.Millisecond,
+		Shards: bases, Shard: opt, Limits: httpx.Limits{DefaultK: 10, DefaultW: 32},
+		Options: httpx.Options{
+			ScrapeEvery:   20 * time.Millisecond,
+			SLOLatencyP99: 40 * time.Millisecond,
+			SLOOptions: slo.Options{
+				FastShort: 100 * time.Millisecond, FastLong: 300 * time.Millisecond,
+				SlowShort: 200 * time.Millisecond, SlowLong: 600 * time.Millisecond,
+			},
 		},
 	})
 	if err != nil {

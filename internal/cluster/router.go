@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"slices"
 	"strconv"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anna/internal/httpx"
 	"anna/internal/metrics"
 	"anna/internal/slo"
 	"anna/internal/topk"
@@ -47,41 +47,14 @@ type Config struct {
 	Shards []string
 	// Stride is the global-ID stripe width (default DefaultStride).
 	Stride int64
-	// DefaultW and DefaultK fill omitted search knobs (defaults 32, 10)
-	// so every shard runs the identical query.
-	DefaultW, DefaultK int
-	// MaxBatch bounds queries per request (default 1024).
-	MaxBatch int
+	// Limits bound each request and fill its omitted search knobs.
+	httpx.Limits
 	// Shard configures the hardened per-shard client.
 	Shard ShardOptions
 
-	// Logger receives slow-query lines and SLO transitions (default
-	// slog.Default()).
-	Logger *slog.Logger
-	// TraceSampleEvery traces 1-in-N /search requests that did not opt
-	// in with an X-Request-ID header (default 64; negative disables
-	// sampling). A traced request records one hop per shard attempt and
-	// stamps the wire context on every outbound hop, so the shards'
-	// traces stitch under the same ID via /debug/trace/{id}.
-	TraceSampleEvery int
-	// SlowQuery is the latency threshold above which a traced /search is
-	// logged as slow (default 250ms; negative disables).
-	SlowQuery time.Duration
-	// TraceRingSize bounds the buffer behind /debug/queries (default 256).
-	TraceRingSize int
-	// ScrapeEvery is the embedded tsdb's scrape interval (default 10s;
-	// negative disables the tsdb, SLO engine, /alerts and /debug/dash).
-	ScrapeEvery time.Duration
-	// SLOLatencyP99 enables the latency SLO: at most 1% of /search
-	// requests may be slower than this bound. Zero disables it.
-	SLOLatencyP99 time.Duration
-	// SLOAvailability enables the availability SLO with this objective.
-	// On the router the bad-event ratio is partial-coverage-aware: a 5xx
-	// costs a full error, a degraded (partial-coverage) answer half one.
-	// Zero disables it.
-	SLOAvailability float64
-	// SLOOptions override the burn-rate windows (zero = defaults).
-	SLOOptions slo.Options
+	// Options are the logging, tracing and SLO knobs the router shares
+	// with anna.Server.
+	httpx.Options
 }
 
 // shardIdleConns is how many idle connections the router's transport
@@ -98,23 +71,14 @@ type Router struct {
 	shards    []*Shard
 	transport *http.Transport // the shards' connections; nil under Config.Shard.Client
 	stride    int64
-	defaultW  int
-	defaultK  int
-	maxBatch  int
+	lim       httpx.Limits
 
 	addRR atomic.Uint64 // round-robin cursor for /add placement
 
 	reg        *metrics.Registry
 	partials   *metrics.Counter
 	unservable *metrics.Counter
-	duration   map[string]*metrics.Histogram
-
-	logger   *slog.Logger
-	rec      *trace.Recorder
-	db       *tsdb.DB
-	eng      *slo.Engine
-	resps    atomic.Uint64 // responses served (availability signal)
-	resps5xx atomic.Uint64 // responses with a 5xx status
+	front      *httpx.Front
 }
 
 // New returns a router over the configured shards.
@@ -135,22 +99,15 @@ func New(cfg Config) (*Router, error) {
 		cfg.MaxBatch = 1024
 	}
 	rt := &Router{
-		stride:   cfg.Stride,
-		defaultW: cfg.DefaultW,
-		defaultK: cfg.DefaultK,
-		maxBatch: cfg.MaxBatch,
-		reg:      metrics.NewRegistry(),
-		duration: map[string]*metrics.Histogram{},
+		stride: cfg.Stride,
+		lim:    cfg.Limits,
+		reg:    metrics.NewRegistry(),
 	}
 	rt.partials = rt.reg.Counter("anna_partial_results_total",
 		"Search responses served with partial shard coverage.")
 	rt.unservable = rt.reg.Counter("anna_unservable_requests_total",
 		"Requests failed because no shard could serve them.")
-	for _, h := range []string{"search", "add", "stats"} {
-		rt.duration[h] = rt.reg.Histogram("anna_request_duration_seconds",
-			"Wall-clock request latency by handler.", nil,
-			metrics.Label{Key: "handler", Value: h})
-	}
+	rt.front = httpx.NewFront(&cfg.Options, rt.reg, "search", "add", "stats")
 	if cfg.Shard.Client == nil {
 		// One transport per router, shared by its shards and closed with
 		// it, instead of the process-wide default.
@@ -191,29 +148,20 @@ func New(cfg Config) (*Router, error) {
 			}, lbl)
 	}
 	metrics.RegisterRuntime(rt.reg)
-	rt.logger = cfg.Logger
-	if rt.logger == nil {
-		rt.logger = slog.Default()
-	}
-	sample := cfg.TraceSampleEvery
-	if sample == 0 {
-		sample = 64
-	}
-	slowQ := cfg.SlowQuery
-	if slowQ == 0 {
-		slowQ = 250 * time.Millisecond
-	}
-	rt.rec = trace.NewRecorder(cfg.TraceRingSize, sample, slowQ, rt.logger)
-	rt.initObs(cfg)
+	rt.front.StartObs(httpx.Extra{
+		Series: []tsdb.Series{{Name: "partials", Kind: tsdb.CounterKind,
+			Sample: func() float64 { return float64(rt.partials.Value()) }}},
+		// Partial-coverage-aware: a degraded answer (some shards
+		// missing) costs half an error against the budget.
+		Unavailable: []slo.Part{{Series: "partials", Weight: 0.5}},
+	})
 	return rt, nil
 }
 
 // Close stops the router's background scraper and closes its idle shard
 // connections. The shard clients hold no goroutines of their own.
 func (rt *Router) Close() {
-	if rt.db != nil {
-		rt.db.Close()
-	}
+	rt.front.Close()
 	if rt.transport != nil {
 		rt.transport.CloseIdleConnections()
 	}
@@ -228,78 +176,14 @@ func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 // Handler returns the router's HTTP handler tree — the same surface as
 // a single annaserve, minus the single-process admin endpoints.
 func (rt *Router) Handler() http.Handler {
+	f := rt.front
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", rt.instrument("search", rt.handleSearch))
-	mux.HandleFunc("/add", rt.instrument("add", rt.handleAdd))
-	mux.HandleFunc("/stats", rt.instrument("stats", rt.handleStats))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("/search", f.Instrument("search", http.MethodPost, rt.handleSearch))
+	mux.HandleFunc("/add", f.Instrument("add", http.MethodPost, rt.handleAdd))
+	mux.HandleFunc("/stats", f.Instrument("stats", http.MethodGet, rt.handleStats))
 	mux.HandleFunc("/readyz", rt.handleReadyz)
-	mux.Handle("/metrics", rt.reg.Handler())
-	mux.HandleFunc("/debug/queries", rt.handleDebugQueries)
-	mux.HandleFunc("/debug/trace/{id}", rt.handleDebugTrace)
-	if rt.db != nil {
-		mux.Handle("/debug/tsdb", rt.db.Handler())
-		mux.Handle("/alerts", rt.eng.Handler())
-		mux.Handle("/debug/dash", slo.DashHandler("annarouter"))
-	}
+	f.Mount(mux, "annarouter", false, httpx.Debug{Entry: shardBreakdown, Trace: rt.stitch})
 	return mux
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (rt *Router) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		rt.duration[name].ObserveDuration(time.Since(start))
-		rt.resps.Add(1)
-		if sw.code >= 500 {
-			rt.resps5xx.Add(1)
-		}
-		rt.reg.Counter("anna_http_requests_total", "Requests by handler and status code.",
-			metrics.Label{Key: "handler", Value: name},
-			metrics.Label{Key: "code", Value: strconv.Itoa(sw.code)}).Inc()
-	}
-}
-
-func (rt *Router) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeReply sends the encoded 200 body of a /search or /add in the codec
-// the client spoke.
-func (rt *Router) writeReply(w http.ResponseWriter, codec wire.Codec, body []byte) {
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.Write(body)
-}
-
-// relay passes a shard's non-200 verdict on verbatim; error bodies are
-// JSON whatever codec the request spoke.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", wire.JSONContentType)
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// shardReply is one shard's contribution to a scatter.
-type shardReply struct {
-	status int
-	body   []byte
-	err    error
 }
 
 // scatter sends the same request to every shard concurrently and
@@ -307,11 +191,11 @@ type shardReply struct {
 // request ID (and trace, when sampled) into every hop; check, when set,
 // is each hop's verdict on a 200 body (see Shard.do). The last hop runs
 // on the caller's goroutine: it would only wait for the others anyway.
-func (rt *Router) scatter(ctx context.Context, method, path string, body []byte, check func([]byte) error, replies []shardReply) []shardReply {
+func (rt *Router) scatter(ctx context.Context, method, path string, body []byte, check func([]byte) error, replies []result) []result {
 	replies = slices.Grow(replies[:0], len(rt.shards))[:len(rt.shards)]
 	hop := func(i int) {
 		status, b, err := rt.shards[i].do(ctx, method, path, body, true, check)
-		replies[i] = shardReply{status: status, body: b, err: err}
+		replies[i] = result{status: status, body: b, err: err}
 	}
 	var wg sync.WaitGroup
 	last := len(rt.shards) - 1
@@ -334,9 +218,9 @@ func (rt *Router) scatter(ctx context.Context, method, path string, body []byte,
 // canceled attempt's transport may still be reading it after the handler
 // has returned.
 type searchScratch struct {
-	body    []byte
+	body    httpx.Body
 	req     wire.SearchRequest
-	replies []shardReply
+	replies []result
 	shard   []wire.SearchReply // decoded replies of the shards that answered
 	arena   []wire.Result
 	lists   [][]wire.Result // one query's rows across shards, for the merge
@@ -353,72 +237,28 @@ var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // anna_partial_results_total. Only a total loss (zero shards) fails
 // the request.
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	start := time.Now()
-	// The request ID rides every shard hop and is echoed back, matching
-	// annaserve's contract: the client's ID when it sent one (which also
-	// forces a trace), a generated one otherwise.
-	reqID := r.Header.Get(HeaderRequestID)
-	tagged := reqID != ""
-	if !tagged {
-		reqID = trace.NewID()
-	}
-	w.Header().Set(HeaderRequestID, reqID)
+	// The request ID rides every shard hop. Shard.do records one hop per
+	// attempt into a live trace and stamps the wire context on each, so
+	// the shards' traces stitch under the same ID; refused requests are
+	// traced too.
+	reqID, parent, tagged := httpx.RequestID(w, r)
 	ctx := WithRequestID(r.Context(), reqID)
-	var tr *trace.Trace
-	if tagged || rt.rec.ShouldSample() {
-		tr = trace.New(reqID)
-		tr.Start = start
-		// Shard.do records one hop per attempt into this trace, and
-		// stamps the wire context on each outbound request so the shards'
-		// own traces stitch under the same ID.
+	tr := rt.front.StartTrace(reqID, parent, tagged, time.Now())
+	if tr != nil {
 		ctx = trace.NewContext(ctx, tr)
-		defer func() {
-			code := http.StatusOK
-			if sw, ok := w.(*statusWriter); ok {
-				code = sw.code
-			}
-			tr.Finish(code)
-			rt.rec.Record(tr)
-		}()
+		defer rt.front.Record(tr, w)
 	}
-	codec := wire.CodecFor(r.Header.Get("Content-Type"))
 	sc := searchScratchPool.Get().(*searchScratch)
 	defer searchScratchPool.Put(sc)
 	req := &sc.req
-	var err error
-	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
-		err = codec.DecodeSearchRequest(req, sc.body, rt.maxBatch)
-	}
-	if err != nil {
-		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	nq := len(req.Queries)
-	if nq == 0 {
-		rt.httpError(w, http.StatusBadRequest, "no queries")
-		return
-	}
-	if nq > rt.maxBatch {
-		rt.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", nq, rt.maxBatch)
-		return
-	}
 	// Normalize the knobs before fan-out so every shard answers the
 	// identical (W, K) — the merge below assumes per-shard lists are
 	// each a top-K under the same K.
-	if req.W <= 0 {
-		req.W = rt.defaultW
-	}
-	if req.K <= 0 {
-		req.K = rt.defaultK
-	}
-	if req.K > wire.MaxK {
-		rt.httpError(w, http.StatusBadRequest, "k of %d exceeds limit %d", req.K, wire.MaxK)
+	codec, valid := rt.front.DecodeSearch(w, r, &sc.body, req, rt.lim)
+	if !valid {
 		return
 	}
+	nq := len(req.Queries)
 	if tr != nil {
 		tr.Queries, tr.W, tr.K = nq, req.W, req.K
 	}
@@ -426,7 +266,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// backend) no shard would have accepted either.
 	frame, err := wire.AppendSearchRequestFrame(nil, req)
 	if err != nil {
-		rt.httpError(w, http.StatusBadRequest, "%v", err)
+		rt.front.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -434,10 +274,11 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		func(reply []byte) error { return wire.CheckSearchReplyFrame(reply, nq) }, sc.replies)
 
 	// A 4xx from any shard means the request itself is bad (shards are
-	// interchangeable for validation); relay the first one verbatim.
+	// interchangeable for validation); relay the first one verbatim — as
+	// JSON, the one codec of error bodies.
 	for _, rep := range sc.replies {
 		if rep.err == nil && rep.status >= 400 && rep.status < 500 {
-			relay(w, rep.status, rep.body)
+			rt.front.WriteReply(w, rep.status, wire.JSONContentType, rep.body)
 			return
 		}
 	}
@@ -458,7 +299,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sc.shard, sc.arena = shards[:ok], arena
 	if ok == 0 {
 		rt.unservable.Inc()
-		rt.httpError(w, http.StatusBadGateway, "no shard reachable (0/%d)", len(rt.shards))
+		rt.front.HTTPError(w, http.StatusBadGateway, "no shard reachable (0/%d)", len(rt.shards))
 		return
 	}
 
@@ -477,14 +318,14 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		rt.partials.Inc()
 	}
 	if sc.enc, err = codec.AppendSearchReply(sc.enc[:0], &sc.out); err != nil {
-		rt.logger.Error("encoding response failed", "err", err)
+		rt.front.Log().Error("encoding response failed", "err", err)
 	}
-	rt.writeReply(w, codec, sc.enc)
+	rt.front.WriteReply(w, http.StatusOK, codec.ContentType(), sc.enc)
 }
 
 // addScratch is the pooled working set of one routed /add.
 type addScratch struct {
-	body []byte
+	body httpx.Body
 	req  wire.AddRequest
 	enc  []byte
 }
@@ -499,37 +340,20 @@ var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
 // shards whose breaker admits traffic; a breaker fast-fail (request
 // provably unsent) moves to the next shard.
 func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	reqID := r.Header.Get(HeaderRequestID)
-	if reqID == "" {
-		reqID = trace.NewID()
-	}
-	w.Header().Set(HeaderRequestID, reqID)
+	reqID, _, _ := httpx.RequestID(w, r)
 	ctx := WithRequestID(r.Context(), reqID)
-	codec := wire.CodecFor(r.Header.Get("Content-Type"))
 	sc := addScratchPool.Get().(*addScratch)
 	defer addScratchPool.Put(sc)
 	req := &sc.req
-	var err error
-	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
-		err = codec.DecodeAddRequest(req, sc.body)
-	}
-	if err != nil {
-		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if len(req.Vectors) == 0 {
-		rt.httpError(w, http.StatusBadRequest, "no vectors")
+	codec, ok := rt.front.DecodeAdd(w, r, &sc.body, req)
+	if !ok {
 		return
 	}
 	// Like the search frame, fresh per request: a timed-out add's
 	// transport may outlive the handler.
 	frame, err := wire.AppendAddRequestFrame(nil, req)
 	if err != nil {
-		rt.httpError(w, http.StatusBadRequest, "%v", err)
+		rt.front.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := int(rt.addRR.Add(1)-1) % len(rt.shards)
@@ -538,7 +362,7 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 		status, b, err := s.Do(ctx, http.MethodPost, "/add", frame, false)
 		if err != nil {
 			if r.Context().Err() != nil {
-				rt.httpError(w, http.StatusGatewayTimeout, "add canceled: %v", err)
+				rt.front.HTTPError(w, http.StatusGatewayTimeout, "add canceled: %v", err)
 				return
 			}
 			// ErrShardDown means the request was never sent — the next
@@ -551,42 +375,38 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 			// Name the shard so the client knows whose state is now
 			// ambiguous (the batch may or may not have been applied).
 			w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-			rt.httpError(w, http.StatusBadGateway, "shard %d add failed: %v", s.Index, err)
+			rt.front.HTTPError(w, http.StatusBadGateway, "shard %d add failed: %v", s.Index, err)
 			return
 		}
 		if status != http.StatusOK {
 			// Relay the shard's verdict (400 bad vectors, 429, 5xx...).
 			w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-			relay(w, status, b)
+			rt.front.WriteReply(w, status, wire.JSONContentType, b)
 			return
 		}
 		ar, err := wire.DecodeAddReplyFrame(b)
 		if err != nil {
-			rt.httpError(w, http.StatusBadGateway, "shard %d add reply: %v", s.Index, err)
+			rt.front.HTTPError(w, http.StatusBadGateway, "shard %d add reply: %v", s.Index, err)
 			return
 		}
 		if ar.FirstID+int64(ar.Count) > rt.stride {
-			rt.httpError(w, http.StatusInternalServerError,
+			rt.front.HTTPError(w, http.StatusInternalServerError,
 				"shard %d exhausted its ID stripe (%d ids)", s.Index, rt.stride)
 			return
 		}
 		ar.FirstID += int64(s.Index) * rt.stride
 		w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
 		sc.enc = codec.AppendAddReply(sc.enc[:0], ar)
-		rt.writeReply(w, codec, sc.enc)
+		rt.front.WriteReply(w, http.StatusOK, codec.ContentType(), sc.enc)
 		return
 	}
 	rt.unservable.Inc()
-	rt.httpError(w, http.StatusBadGateway, "no shard accepting adds (0/%d)", len(rt.shards))
+	rt.front.HTTPError(w, http.StatusBadGateway, "no shard accepting adds (0/%d)", len(rt.shards))
 }
 
 // handleStats aggregates shard /stats into a cluster view: total
 // vectors, per-shard detail, and breaker states.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	replies := rt.scatter(r.Context(), http.MethodGet, "/stats", nil, nil, nil)
 	total := 0
 	shards := make([]map[string]any, len(replies))
@@ -612,8 +432,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		shards[i] = entry
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.JSON(w, http.StatusOK, map[string]any{
 		"vectors": total,
 		"stride":  rt.stride,
 		"shards":  shards,
@@ -651,10 +470,8 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if ready == 0 {
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderPartial, fmt.Sprintf("shards=%d/%d", ready, len(rt.shards)))
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.JSON(w, code, map[string]any{
 		"ready":  ready > 0,
 		"shards": states,
 	})

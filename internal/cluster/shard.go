@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anna/internal/httpx"
 	"anna/internal/qos"
 	"anna/internal/trace"
 	"anna/internal/wire"
@@ -24,7 +25,7 @@ var ErrShardDown = errors.New("cluster: shard circuit open")
 
 // HeaderRequestID is the request-ID header propagated from router
 // clients through every shard hop, matching annaserve's contract.
-const HeaderRequestID = "X-Request-ID"
+const HeaderRequestID = httpx.HeaderRequestID
 
 // reqIDKey carries the request ID through a scatter so every shard hop
 // can stamp HeaderRequestID without threading an extra parameter
@@ -215,7 +216,7 @@ func (s *Shard) Breaker() *Breaker { return s.breaker }
 // Stats exposes the shard's lifetime counters.
 func (s *Shard) Stats() *ShardStats { return &s.stats }
 
-// result is one attempt's outcome.
+// result is one attempt's outcome, and one shard's reply to a scatter.
 type result struct {
 	status int
 	body   []byte

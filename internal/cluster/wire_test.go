@@ -2,18 +2,20 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"anna/internal/httpx"
 	"anna/internal/wire"
 )
 
@@ -99,17 +101,12 @@ func TestRouterRefusesWhatFramesCannotCarry(t *testing.T) {
 	rt := fakeShardSet(t, []http.Handler{counted}, fastOpts())
 	t.Cleanup(rt.Close)
 	h := rt.Handler()
-	hugeK, err := wire.AppendSearchRequestFrame(nil, &searchRequest{Queries: [][]float32{{1}}, K: math.MaxInt32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// k over wire.MaxK, which a frame can carry but the merge would size
+	// a selector from, is internal/httpx's TestFrontDoorContract.
 	for name, c := range map[string]struct{ contentType, body string }{
 		"ragged queries":  {wire.JSONContentType, `{"queries":[[1,2],[3]]}`},
 		"empty query":     {wire.JSONContentType, `{"queries":[[]]}`},
 		"unknown backend": {wire.JSONContentType, `{"queries":[[1]],"backend":"gpu"}`},
-		// A frame can carry these, but the merge would size a selector from k.
-		"huge k":       {wire.JSONContentType, `{"queries":[[1]],"k":2147483648}`},
-		"huge k frame": {wire.FrameContentType, string(hugeK)},
 	} {
 		rec := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(c.body))
@@ -181,12 +178,32 @@ func TestRouterCountsMalformedShardReply(t *testing.T) {
 // scatters reuse them: 8 clients open at most 8 connections to each
 // shard, however many searches they send. (On http.DefaultTransport,
 // which keeps 2, this opened a connection for most hops.)
+//
+// Two waits make the count exact rather than likely. Each shard holds
+// its first 8 requests until all 8 have arrived, so the first wave dials
+// exactly one connection per client: without the gate, a connection
+// released early is handed to a request whose own dial is still in
+// flight, and that dial then lands in the pool as a ninth connection.
+// And each client sends its next search only after the transport's
+// PutIdleConn hook has fired for every hop of the last one, so all its
+// connections are idle again before it asks for one.
 func TestRouterReusesShardConnections(t *testing.T) {
 	const clients, searches = 8, 50
 	var opened [3]atomic.Int32
 	bases := make([]string, len(opened))
 	for i := range opened {
-		ts := httptest.NewUnstartedServer(staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}))
+		var arrived atomic.Int32
+		wave := make(chan struct{})
+		shard := staticSearchShard([]searchResult{{ID: 1, Score: 0.9}})
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if n := arrived.Add(1); n <= clients {
+				if n == clients {
+					close(wave)
+				}
+				<-wave
+			}
+			shard.ServeHTTP(w, r)
+		}))
 		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {
 				opened[i].Add(1)
@@ -196,7 +213,9 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		t.Cleanup(ts.Close)
 		bases[i] = ts.URL
 	}
-	rt, err := New(Config{Shards: bases, Shard: fastOpts()})
+	opt := fastOpts()
+	opt.Timeout = 10 * time.Second // the gated first wave must not time out into a re-dial
+	rt, err := New(Config{Shards: bases, Shard: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +226,32 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Room for two searches' hops: a hook must never block the
+			// transport's read loop, even on a retried hop's extra put.
+			idle := make(chan error, 2*len(bases))
+			ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+				PutIdleConn: func(err error) { idle <- err },
+			})
 			for i := 0; i < searches; i++ {
-				r := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body))
+				r := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)).WithContext(ctx)
 				r.Header.Set("Content-Type", wire.FrameContentType)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, r)
 				if rec.Code != http.StatusOK || rec.Header().Get(HeaderPartial) != "" {
 					t.Errorf("status %d, partial %q", rec.Code, rec.Header().Get(HeaderPartial))
 					return
+				}
+				for range bases {
+					select {
+					case err := <-idle:
+						if err != nil {
+							t.Errorf("connection not returned to the pool: %v", err)
+							return
+						}
+					case <-time.After(10 * time.Second):
+						t.Error("a hop's connection never went back to the pool")
+						return
+					}
 				}
 			}
 		}()
@@ -259,7 +296,7 @@ func TestRouterSearchAllocs(t *testing.T) {
 	opt := fastOpts()
 	canned, _ := wire.Frame.AppendSearchReply(nil, reply)
 	opt.Client = &http.Client{Transport: cannedTransport{canned}}
-	rt, err := New(Config{Shards: []string{"http://s0", "http://s1", "http://s2"}, Shard: opt, TraceSampleEvery: -1, ScrapeEvery: -1})
+	rt, err := New(Config{Shards: []string{"http://s0", "http://s1", "http://s2"}, Shard: opt, Options: httpx.Options{TraceSampleEvery: -1, ScrapeEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/httpx"
 	"anna/internal/trace"
 )
 
@@ -132,7 +133,7 @@ func TestWireHeaderForcesTraceWithParent(t *testing.T) {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
 	// The wire ID doubles as the request ID when none is set explicitly.
-	if got := resp.Header.Get(requestIDHeader); got != "wire-42" {
+	if got := resp.Header.Get(httpx.HeaderRequestID); got != "wire-42" {
 		t.Errorf("request ID echo = %q, want wire-42", got)
 	}
 

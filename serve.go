@@ -4,21 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"anna/internal/adaptive"
+	"anna/internal/httpx"
 	"anna/internal/metrics"
 	"anna/internal/qos"
 	"anna/internal/slo"
@@ -51,7 +48,11 @@ import (
 //	                 for the full metric list)
 //	GET  /debug/queries     -> recent sampled/slow query traces, slowest first
 //	GET  /debug/trace/{id}  -> one trace by query ID
+//	GET  /debug/tsdb, /alerts, /debug/dash -> embedded tsdb, SLO burn-rate
+//	              alerts, live dashboard (unless ScrapeEvery < 0)
 //	GET  /debug/pprof/* -> runtime profiles (unless DisablePprof)
+//
+// A /search or /add body over httpx.MaxBody is refused with 413.
 //
 // Every /search response carries an X-Request-ID header: the client's,
 // when it sent one (such a query is always traced), or a generated ID
@@ -67,10 +68,8 @@ import (
 type Server struct {
 	mu  sync.RWMutex
 	idx *Index
-	// MaxBatch bounds queries per /search request (default 1024).
-	MaxBatch int
-	// DefaultW / DefaultK apply when a request omits them.
-	DefaultW, DefaultK int
+	// Limits bound each /search request and fill its omitted knobs.
+	httpx.Limits
 	// Accelerator, when set, lets requests with "backend":"anna" run on
 	// the simulated ANNA instead of the software engine; the response
 	// then carries the simulated cost (cycles, traffic, energy).
@@ -85,20 +84,10 @@ type Server struct {
 	SearchTimeout time.Duration
 	// DisablePprof removes the /debug/pprof endpoints from Handler.
 	DisablePprof bool
-	// Logger receives structured serving events: slow queries, snapshot
-	// and encode failures (default slog.Default()).
-	Logger *slog.Logger
-	// TraceSampleEvery traces 1-in-N queries that did not opt in with an
-	// X-Request-ID header (default 64; negative disables sampling).
-	// Read once at first request, like the other trace knobs.
-	TraceSampleEvery int
-	// SlowQuery is the latency threshold above which a /search request
-	// is logged and captured even when untraced (default 250ms;
-	// negative disables the slow-query log).
-	SlowQuery time.Duration
-	// TraceRingSize bounds the in-memory buffer of recent traces served
-	// by /debug/queries (default 256, rounded up to a power of two).
-	TraceRingSize int
+	// Options are the logging, tracing and SLO knobs the Server shares
+	// with cluster.Router. The trace knobs are read at the first request,
+	// the scrape and SLO knobs at Handler time.
+	httpx.Options
 	// Recall, when set, shadow-checks a sample of served software-backend
 	// queries against exact search and publishes live recall@k metrics
 	// through /metrics. See RecallEstimator.
@@ -149,27 +138,10 @@ type Server struct {
 	// controller that tunes the policy against the live recall estimate.
 	// Set before the first request, like the trace knobs.
 	Adaptive AdaptiveServing
-	// ScrapeEvery is the embedded tsdb's scrape interval: how often the
-	// serving counters are snapshotted into the ring behind /debug/tsdb
-	// and the SLO burn-rate engine ticks (default 10s; negative disables
-	// the tsdb, the SLO engine, /alerts and /debug/dash entirely). Read
-	// once at Handler time, like the trace knobs.
-	ScrapeEvery time.Duration
-	// SLOLatencyP99 enables the latency SLO: at most 1% of /search
-	// requests may be slower than this bound (the bound snaps to the
-	// nearest latency-histogram bucket edge). Zero disables it.
-	SLOLatencyP99 time.Duration
-	// SLOAvailability enables the availability SLO with this objective
-	// (e.g. 0.999 = at most 0.1% of requests may end in 5xx). Zero
-	// disables it.
-	SLOAvailability float64
 	// SLORecall enables the recall SLO: the rolling shadow-recall
 	// estimate (requires Recall) must not dip under this target on more
 	// than 1% of scrapes. Zero disables it.
 	SLORecall float64
-	// SLOOptions override the burn-rate windows and thresholds (zero
-	// values = the 5m/1h + 30m/6h defaults); tests shrink them.
-	SLOOptions slo.Options
 
 	adaptOnce sync.Once                      // registers adaptive metrics / starts the controller once
 	ctrlOnce  sync.Once                      // Close stops the controller exactly once
@@ -181,19 +153,12 @@ type Server struct {
 	inflight   atomic.Int64
 	addedSince atomic.Int64 // vectors added since the last snapshot
 	durOnce    sync.Once    // registers durability metrics exactly once
-	traceOnce  sync.Once    // builds the trace recorder exactly once
-	rec        *trace.Recorder
-	recallOnce sync.Once // registers recall metrics exactly once
-	qosOnce    sync.Once // builds batcher/cache exactly once
+	recallOnce sync.Once    // registers recall metrics exactly once
+	qosOnce    sync.Once    // builds batcher/cache exactly once
 	batcher    atomic.Pointer[qos.Batcher[servedRow]]
 	cache      atomic.Pointer[qos.Cache[servedRow]]
 	m          *serverMetrics
-
-	obsOnce  sync.Once // builds the tsdb + SLO engine exactly once
-	db       *tsdb.DB
-	sloEng   *slo.Engine
-	resps    atomic.Uint64 // responses served (tsdb availability signal)
-	resps5xx atomic.Uint64 // responses with a 5xx status
+	front      *httpx.Front
 }
 
 // servedRow is one query's served results plus the cache generation
@@ -377,7 +342,7 @@ func (s *Server) controllerLoop(ctrl *adaptive.Controller, interval time.Duratio
 			k := kn
 			s.knobs.Store(&k)
 			s.effort.Store(int64(ctrl.Level()))
-			s.slogger().Info("adaptive controller stepped",
+			s.Log().Info("adaptive controller stepped",
 				"recall", rolling,
 				"target", s.Adaptive.RecallTarget,
 				"effort", ctrl.Level(), "max_effort", ctrl.MaxLevel(),
@@ -394,7 +359,6 @@ func (s *Server) controllerLoop(ctrl *adaptive.Controller, interval time.Duratio
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	reqDuration map[string]*metrics.Histogram // per handler
 	stage       map[string]*metrics.Histogram // select / scan / merge
 	queries     *metrics.Counter
 	scanned     *metrics.Counter
@@ -422,9 +386,8 @@ var stageNames = []string{"select", "scan", "rerank", "merge"}
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
-		reg:         reg,
-		reqDuration: map[string]*metrics.Histogram{},
-		stage:       map[string]*metrics.Histogram{},
+		reg:   reg,
+		stage: map[string]*metrics.Histogram{},
 		queries: reg.Counter("anna_search_queries_total",
 			"Queries executed by the software engine."),
 		scanned: reg.Counter("anna_scanned_vectors_total",
@@ -445,11 +408,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		rejectDepth: reg.Histogram("anna_rejected_queue_depth",
 			"Batcher queue depth observed at each 429 rejection.",
 			metrics.ExpBuckets(1, 2, 16)),
-	}
-	for _, h := range []string{"search", "add", "stats", "snapshot", "state", "tail"} {
-		m.reqDuration[h] = reg.Histogram("anna_request_duration_seconds",
-			"Wall-clock request latency by handler.", nil,
-			metrics.Label{Key: "handler", Value: h})
 	}
 	for _, st := range stageNames {
 		m.stage[st] = reg.Histogram("anna_stage_duration_seconds",
@@ -506,8 +464,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // NewServer returns a Server for idx.
 func NewServer(idx *Index) *Server {
-	s := &Server{idx: idx, MaxBatch: 1024, DefaultW: 32, DefaultK: 10}
+	s := &Server{idx: idx, Limits: httpx.Limits{MaxBatch: 1024, DefaultW: 32, DefaultK: 10}}
 	s.m = newServerMetrics(s)
+	s.front = httpx.NewFront(&s.Options, s.m.reg, "search", "add", "stats", "snapshot", "state", "tail")
 	return s
 }
 
@@ -553,31 +512,6 @@ func (s *Server) registerDurable() {
 			"Byte length of the live WAL segment.",
 			func() float64 { return float64(s.Store.WALSize()) })
 	})
-}
-
-// slogger returns the server's structured logger.
-func (s *Server) slogger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return slog.Default()
-}
-
-// tracer returns the server's trace recorder, building it from the
-// Trace* / SlowQuery knobs on first use (set them before serving).
-func (s *Server) tracer() *trace.Recorder {
-	s.traceOnce.Do(func() {
-		sample := s.TraceSampleEvery
-		if sample == 0 {
-			sample = 64
-		}
-		slow := s.SlowQuery
-		if slow == 0 {
-			slow = 250 * time.Millisecond
-		}
-		s.rec = trace.NewRecorder(s.TraceRingSize, sample, slow, s.slogger())
-	})
-	return s.rec
 }
 
 // registerRecall publishes the attached RecallEstimator's instruments
@@ -634,9 +568,7 @@ func (s *Server) Close() {
 	if b := s.batcher.Load(); b != nil {
 		b.Drain()
 	}
-	if s.db != nil {
-		s.db.Close()
-	}
+	s.front.Close()
 }
 
 // searchLocked runs one software-backend engine batch under the read
@@ -714,29 +646,21 @@ func (s *Server) tenantFor(r *http.Request) *qos.Tenant {
 	return s.Tenants.Resolve(key)
 }
 
-// retryAfterJitter picks a 1–3s Retry-After so rejected clients do not
-// re-converge on the same instant. The math lives in qos so the router
-// retry loop shares it.
-func retryAfterJitter() int { return qos.RetryAfterSeconds() }
-
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler {
 	s.registerDurable()
 	s.registerRecall()
 	s.initAdaptive()
 	s.initQoS()
-	s.initObs()
+	s.front.StartObs(s.obsExtra())
+	f := s.front
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
-	mux.HandleFunc("/add", s.instrument("add", s.handleAdd))
-	mux.HandleFunc("/stats", s.instrument("stats", s.handleStats))
-	mux.HandleFunc("/admin/snapshot", s.instrument("snapshot", s.handleSnapshot))
-	mux.HandleFunc("/admin/state", s.instrument("state", s.handleAdminState))
-	mux.HandleFunc("/admin/wal/tail", s.instrument("tail", s.handleWALTail))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("/search", f.Instrument("search", http.MethodPost, s.handleSearch))
+	mux.HandleFunc("/add", f.Instrument("add", http.MethodPost, s.handleAdd))
+	mux.HandleFunc("/stats", f.Instrument("stats", http.MethodGet, s.handleStats))
+	mux.HandleFunc("/admin/snapshot", f.Instrument("snapshot", http.MethodPost, s.durable(s.handleSnapshot)))
+	mux.HandleFunc("/admin/state", f.Instrument("state", http.MethodGet, s.durable(s.handleAdminState)))
+	mux.HandleFunc("/admin/wal/tail", f.Instrument("tail", http.MethodGet, s.durable(s.handleWALTail)))
 	// By the time this handler serves traffic, construction — snapshot
 	// load and WAL replay included — has finished; a booting process
 	// answers 503 through the ReadinessGate wrapper instead.
@@ -744,51 +668,37 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ready")
 	})
-	mux.Handle("/metrics", s.m.reg.Handler())
-	mux.HandleFunc("/debug/queries", s.handleDebugQueries)
-	mux.HandleFunc("/debug/trace/{id}", s.handleDebugTrace)
-	if s.db != nil {
-		mux.Handle("/debug/tsdb", s.db.Handler())
-		mux.Handle("/alerts", s.sloEng.Handler())
-		mux.Handle("/debug/dash", slo.DashHandler("annaserve"))
-	}
-	if !s.DisablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	f.Mount(mux, "annaserve", !s.DisablePprof, httpx.Debug{})
 	return mux
 }
 
-// statusWriter captures the status code a handler writes.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request counting and latency
-// recording under anna_http_requests_total / anna_request_duration_seconds.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+// durable answers 503 in place of an /admin handler that needs a Store.
+func (s *Server) durable(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.m.reqDuration[name].ObserveDuration(time.Since(start))
-		s.resps.Add(1)
-		if sw.code >= 500 {
-			s.resps5xx.Add(1)
+		if s.Store == nil {
+			s.front.HTTPError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
+			return
 		}
-		s.m.reg.Counter("anna_http_requests_total", "Requests by handler and status code.",
-			metrics.Label{Key: "handler", Value: name},
-			metrics.Label{Key: "code", Value: strconv.Itoa(sw.code)}).Inc()
+		h(w, r)
 	}
+}
+
+// obsExtra is annaserve's part of the tsdb + SLO wiring: query and
+// in-flight series, and the recall SLO over the shadow estimator.
+func (s *Server) obsExtra() httpx.Extra {
+	x := httpx.Extra{Series: []tsdb.Series{
+		{Name: "queries", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(s.m.queries.Value()) }},
+		{Name: "inflight", Kind: tsdb.GaugeKind, Sample: func() float64 { return float64(s.inflight.Load()) }},
+	}}
+	if s.SLORecall > 0 && s.Recall != nil {
+		x.Series = append(x.Series, tsdb.Series{Name: "recall", Kind: tsdb.GaugeKind, Sample: s.Recall.Rolling})
+		x.SLOs = func(db *tsdb.DB) []slo.SLO {
+			// Zero scrapes are "no shadow samples yet", not zero recall —
+			// skip them rather than fire on an idle server.
+			return []slo.SLO{{Name: "recall", Objective: 0.99, BadRatio: slo.BadBelow(db, "recall", s.SLORecall, true)}}
+		}
+	}
+	return x
 }
 
 // statusClientClosedRequest is nginx's convention for "the client went
@@ -820,10 +730,6 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// requestIDHeader carries the query ID: echoed back when the client
-// sets it (which also forces a trace), generated otherwise.
-const requestIDHeader = "X-Request-ID"
-
 // searchScratch is the pooled per-request working set of handleSearch:
 // the request body as read, the decoded request (inner query buffers
 // included), the cache keys of the misses (built for the lookup, reused
@@ -833,7 +739,7 @@ const requestIDHeader = "X-Request-ID"
 // written before the handler returns), so the whole set recycles
 // alloc-free.
 type searchScratch struct {
-	body   []byte
+	body   httpx.Body
 	req    wire.SearchRequest
 	keys   []byte // cache keys of the misses, concatenated
 	keyEnd []int  // keyEnd[j]: end of miss j's key in keys
@@ -846,23 +752,7 @@ type searchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// appendResults gathers the served rows into sc's pooled response
-// headers. The rows themselves are shared, not copied: a row may sit in
-// the result cache, and the encoder only reads it.
-func appendResults(sc *searchScratch, rows []servedRow) [][]wire.Result {
-	out := sc.out[:0]
-	for _, r := range rows {
-		out = append(out, r.res)
-	}
-	sc.out = out
-	return out
-}
-
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if !s.admit() {
 		depth := 0
 		if b := s.batcher.Load(); b != nil {
@@ -870,9 +760,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.rejected.Inc()
 		s.m.rejectDepth.Observe(float64(depth))
-		retry := retryAfterJitter()
+		retry := qos.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.writeJSONStatus(w, http.StatusTooManyRequests, map[string]any{
+		s.front.JSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":               fmt.Sprintf("server at max in-flight (%d); retry later", s.MaxInFlight),
 			"queue_depth":         depth,
 			"retry_after_seconds": retry,
@@ -882,58 +772,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	start := time.Now()
-	// Wire trace context (X-Anna-Trace) arrives from an upstream router
-	// hop: adopting its ID keys this shard-side trace for stitching, and
-	// the parent names which hop span it hangs under. Both parses are
-	// allocation-free on the common (absent-header) path.
-	wireID, wireParent := trace.ParseWire(r.Header.Get(trace.HeaderWire))
-	reqID := r.Header.Get(requestIDHeader)
-	if reqID == "" {
-		reqID = wireID
-	}
-	tagged := reqID != ""
-	if !tagged {
-		reqID = trace.NewID()
-	}
-	w.Header().Set(requestIDHeader, reqID)
+	reqID, parent, tagged := httpx.RequestID(w, r)
 	tnt := s.tenantFor(r)
 
 	// The request's exact Content-Type picks the codec, and a 200 is
 	// answered in it; the decoder resets the pooled request and reuses its
-	// query buffers.
-	codec := wire.CodecFor(r.Header.Get("Content-Type"))
+	// query buffers. Under the recall-SLO controller the default W is a
+	// tuned knob; a request that pins its own "w" is always honoured.
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
 	req := &sc.req
-	var err error
-	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
-		err = codec.DecodeSearchRequest(req, sc.body, s.MaxBatch)
+	lim := s.Limits
+	if kn := s.knobs.Load(); kn != nil && kn.W > 0 {
+		lim.DefaultW = kn.W
 	}
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		s.httpError(w, http.StatusBadRequest, "no queries")
-		return
-	}
-	if len(req.Queries) > s.MaxBatch {
-		s.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), s.MaxBatch)
-		return
-	}
-	if req.W <= 0 {
-		req.W = s.DefaultW
-		// Under the recall-SLO controller the effective W is a tuned
-		// knob; a request that pins its own "w" is always honoured.
-		if kn := s.knobs.Load(); kn != nil && kn.W > 0 {
-			req.W = kn.W
-		}
-	}
-	if req.K <= 0 {
-		req.K = s.DefaultK
-	}
-	if req.K > wire.MaxK {
-		s.httpError(w, http.StatusBadRequest, "k of %d exceeds limit %d", req.K, wire.MaxK)
+	codec, ok := s.front.DecodeSearch(w, r, &sc.body, req, lim)
+	if !ok {
 		return
 	}
 	backend := req.Backend
@@ -946,9 +800,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.m.reg.Counter("anna_throttled_requests_total",
 			"Requests rejected by per-tenant token-bucket quota.",
 			metrics.Label{Key: "tenant", Value: tnt.Name}).Inc()
-		retry := retryAfterJitter()
+		retry := qos.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.writeJSONStatus(w, http.StatusTooManyRequests, map[string]any{
+		s.front.JSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":               fmt.Sprintf("tenant %q over quota; retry later", tnt.Name),
 			"retry_after_seconds": retry,
 		})
@@ -958,25 +812,27 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Tracing decision: client-tagged requests are always traced; the
 	// rest pay one atomic add to roll the 1-in-N sample. The untraced
 	// path allocates nothing here (benchmark-pinned in internal/trace).
-	rec := s.tracer()
-	var tr *trace.Trace
-	if tagged || rec.ShouldSample() {
-		tr = trace.New(reqID)
-		tr.Start = start
-		tr.Parent = wireParent
+	// describe fills in a trace's request fields: a live trace's now, and
+	// the one reconstructed (parentless) for a request that proved slow.
+	describe := func(tr *trace.Trace) *trace.Trace {
 		tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
 		if tnt != nil {
 			tr.Tenant = tnt.Name
 		}
+		return tr
 	}
-	// finish closes out a live trace with the response status. Slow
-	// untraced requests are reconstructed after the fact in the
-	// backend arms below — only requests that already proved slow pay
-	// that cost.
-	finish := func(status int) {
+	rec := s.front.Recorder()
+	tr := s.front.StartTrace(reqID, parent, tagged, start)
+	if tr != nil {
+		describe(tr)
+	}
+	// finish closes out a live trace with the status written so far:
+	// an error's, or 200 just before the reply is encoded. Slow untraced
+	// requests are reconstructed after the fact in the backend arms
+	// below — only requests that already proved slow pay that cost.
+	finish := func() {
 		if tr != nil {
-			tr.Finish(status)
-			rec.Record(tr)
+			s.front.Record(tr, w)
 		}
 	}
 
@@ -998,8 +854,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		dim := s.idx.Dim()
 		for i, q := range req.Queries {
 			if len(q) != dim {
-				finish(http.StatusBadRequest)
-				s.httpError(w, http.StatusBadRequest, "query %d dim %d, index dim %d", i, len(q), dim)
+				s.front.HTTPError(w, http.StatusBadRequest, "query %d dim %d, index dim %d", i, len(q), dim)
+				finish()
 				return
 			}
 		}
@@ -1046,13 +902,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				}
 				row, info, err := b.Submit(ctx, tname, lane, weight, miss[0], req.W, req.K)
 				if err != nil {
-					finish(searchErrStatus(err))
-					s.httpError(w, searchErrStatus(err), "search: %v", err)
+					s.front.HTTPError(w, searchErrStatus(err), "search: %v", err)
+					finish()
 					return
 				}
 				rows[missAt[0]] = row
 				if rec.IsSlow(time.Since(start)) {
-					tr = s.slowTrace(reqID, start, req, backend)
+					tr = describe(s.front.StartTrace(reqID, "", true, start))
 					tr.Tenant = tname
 					tr.Batch = info.Size
 					tr.AddSpan("coalesce", info.Wait)
@@ -1063,18 +919,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			} else {
 				mrows, err := s.searchLocked(ctx, miss, req.W, req.K)
 				if err != nil {
-					finish(searchErrStatus(err))
-					s.httpError(w, searchErrStatus(err), "search: %v", err)
+					s.front.HTTPError(w, searchErrStatus(err), "search: %v", err)
+					finish()
 					return
 				}
 				for j, at := range missAt {
 					rows[at] = mrows[j]
 				}
 				if tr == nil && rec.IsSlow(time.Since(start)) {
-					tr = s.slowTrace(reqID, start, req, backend)
-					if tnt != nil {
-						tr.Tenant = tnt.Name
-					}
+					tr = describe(s.front.StartTrace(reqID, "", true, start))
 					tr.AddStages(mrows[0].stages) // one batch: every row carries the same
 				}
 			}
@@ -1099,11 +952,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				tr.Effort = eff
 			}
 		}
-		resp.Results = appendResults(sc, rows)
+		// The rows are shared, not copied, into sc's pooled response
+		// headers: a row may sit in the result cache, and the encoder only
+		// reads it.
+		sc.out = sc.out[:0]
+		for _, r := range rows {
+			sc.out = append(sc.out, r.res)
+		}
+		resp.Results = sc.out
 	case "anna":
 		if s.Accelerator == nil {
-			finish(http.StatusBadRequest)
-			s.httpError(w, http.StatusBadRequest, "no accelerator configured on this server")
+			s.front.HTTPError(w, http.StatusBadRequest, "no accelerator configured on this server")
+			finish()
 			return
 		}
 		simStart := time.Now()
@@ -1112,12 +972,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.mu.RUnlock()
 		simDur := time.Since(simStart)
 		if err != nil {
-			finish(http.StatusBadRequest)
-			s.httpError(w, http.StatusBadRequest, "simulating: %v", err)
+			s.front.HTTPError(w, http.StatusBadRequest, "simulating: %v", err)
+			finish()
 			return
 		}
 		if tr == nil && rec.IsSlow(time.Since(start)) {
-			tr = s.slowTrace(reqID, start, req, backend)
+			tr = describe(s.front.StartTrace(reqID, "", true, start))
 		}
 		if tr != nil {
 			tr.AddSpan("simulate", simDur)
@@ -1127,62 +987,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.TrafficBytes = rep.TrafficBytes
 		resp.ChipEnergyJ = rep.ChipEnergyJ
 	default:
-		finish(http.StatusBadRequest)
-		s.httpError(w, http.StatusBadRequest, "unknown backend %q", req.Backend)
+		s.front.HTTPError(w, http.StatusBadRequest, "unknown backend %q", req.Backend)
+		finish()
 		return
 	}
-	finish(http.StatusOK)
+	finish()
+	var err error
 	if sc.enc, err = codec.AppendSearchReply(sc.enc[:0], &resp); err != nil {
-		s.slogger().Error("encoding response failed", "err", err)
+		s.Log().Error("encoding response failed", "err", err)
 	}
-	s.writeReply(w, codec, sc.enc)
-}
-
-// slowTrace reconstructs a trace for a request that missed sampling but
-// crossed the slow threshold.
-func (s *Server) slowTrace(id string, start time.Time, req *wire.SearchRequest, backend string) *trace.Trace {
-	tr := trace.New(id)
-	tr.Start = start
-	tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
-	return tr
-}
-
-// handleDebugQueries serves the recent trace buffer, slowest first, so
-// an operator's first look lands on the worst recent requests. ?n=
-// bounds the response (default all buffered).
-func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	traces := s.tracer().Snapshot()
-	sort.SliceStable(traces, func(i, j int) bool { return traces[i].Total > traces[j].Total })
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(traces) {
-		traces = traces[:n]
-	}
-	total, slow := s.tracer().Recorded()
-	s.writeJSON(w, map[string]any{
-		"recorded_total": total,
-		"slow_total":     slow,
-		"count":          len(traces),
-		"traces":         traces,
-	})
-}
-
-// handleDebugTrace serves one trace by query ID, while it is still in
-// the ring.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id := r.PathValue("id")
-	t := s.tracer().Get(id)
-	if t == nil {
-		s.httpError(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
-		return
-	}
-	s.writeJSON(w, t)
+	s.front.WriteReply(w, http.StatusOK, codec.ContentType(), sc.enc)
 }
 
 // recordSearch feeds one software-backend batch report into the metrics.
@@ -1206,7 +1020,7 @@ func (s *Server) recordSearch(nq int, rep *BatchReport, adaptOn bool) {
 // WAL both copy the vectors before Add returns, so the decoded batch can
 // be recycled.
 type addScratch struct {
-	body []byte
+	body httpx.Body
 	req  wire.AddRequest
 	enc  []byte
 }
@@ -1214,31 +1028,18 @@ type addScratch struct {
 var addScratchPool = sync.Pool{New: func() any { return new(addScratch) }}
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	codec := wire.CodecFor(r.Header.Get("Content-Type"))
 	sc := addScratchPool.Get().(*addScratch)
 	defer addScratchPool.Put(sc)
 	req := &sc.req
-	var err error
-	if sc.body, err = wire.ReadBody(sc.body, r.Body, r.ContentLength); err == nil {
-		err = codec.DecodeAddRequest(req, sc.body)
-	}
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if len(req.Vectors) == 0 {
-		s.httpError(w, http.StatusBadRequest, "no vectors")
+	codec, ok := s.front.DecodeAdd(w, r, &sc.body, req)
+	if !ok {
 		return
 	}
 	// Validate before taking the write lock: a bad vector must not stall
 	// in-flight searches, and NaN/Inf would silently poison k-means
 	// assignment and PQ codes.
 	if err := validateAddVectors(req.Vectors, s.idx.Dim()); err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+		s.front.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()
@@ -1254,7 +1055,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.mu.Unlock()
-			s.httpError(w, http.StatusInternalServerError, "wal append: %v", err)
+			s.front.HTTPError(w, http.StatusInternalServerError, "wal append: %v", err)
 			return
 		}
 	}
@@ -1270,17 +1071,17 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "add: %v", err)
+		s.front.HTTPError(w, http.StatusBadRequest, "add: %v", err)
 		return
 	}
 	s.m.added.Add(uint64(len(req.Vectors)))
 	sc.enc = codec.AppendAddReply(sc.enc[:0], wire.AddReply{FirstID: first, Count: len(req.Vectors)})
-	s.writeReply(w, codec, sc.enc)
+	s.front.WriteReply(w, http.StatusOK, codec.ContentType(), sc.enc)
 
 	if s.Store != nil && s.SnapshotEvery > 0 &&
 		s.addedSince.Add(int64(len(req.Vectors))) >= int64(s.SnapshotEvery) {
 		if err := s.snapshotNow(); err != nil {
-			s.slogger().Error("auto-snapshot failed", "err", err)
+			s.Log().Error("auto-snapshot failed", "err", err)
 		}
 	}
 }
@@ -1311,22 +1112,14 @@ type snapshotResponse struct {
 // handleAdd's WAL grows until a snapshot trims it; POST /admin/snapshot
 // lets operators (or a cron job) checkpoint under load.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
-		return
-	}
 	if err := s.snapshotNow(); err != nil {
-		s.httpError(w, http.StatusInternalServerError, "snapshot: %v", err)
+		s.front.HTTPError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
 	s.mu.RLock()
 	n := s.idx.Len()
 	s.mu.RUnlock()
-	s.writeJSON(w, snapshotResponse{
+	s.front.JSON(w, http.StatusOK, snapshotResponse{
 		Vectors:    n,
 		WALRecords: int64(s.Store.WALRecords()),
 		WALBytes:   s.Store.WALSize(),
@@ -1348,21 +1141,13 @@ const (
 // correspond to. Adds are excluded for the duration of the read lock,
 // which makes the (state, epoch, seq) triple consistent.
 func (s *Server) handleAdminState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
-		return
-	}
 	s.mu.RLock()
 	epoch, seq := s.Store.TailPosition()
 	var buf bytes.Buffer
 	err := s.idx.Save(&buf)
 	s.mu.RUnlock()
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "serializing state: %v", err)
+		s.front.HTTPError(w, http.StatusInternalServerError, "serializing state: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -1382,22 +1167,14 @@ func (s *Server) handleAdminState(w http.ResponseWriter, r *http.Request) {
 // trimmed by a snapshot since the follower last read, and it must
 // re-bootstrap from /admin/state.
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
-		return
-	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad epoch: %v", err)
+		s.front.HTTPError(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad from: %v", err)
+		s.front.HTTPError(w, http.StatusBadRequest, "bad from: %v", err)
 		return
 	}
 	// TailWAL assembles the frames under the store lock and writes them
@@ -1406,10 +1183,10 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := s.Store.TailWAL(w, epoch, from); err != nil {
 		if errors.Is(err, ErrTailGone) {
-			s.httpError(w, http.StatusGone, "tail position gone; re-bootstrap from /admin/state")
+			s.front.HTTPError(w, http.StatusGone, "tail position gone; re-bootstrap from /admin/state")
 			return
 		}
-		s.httpError(w, http.StatusInternalServerError, "reading tail: %v", err)
+		s.front.HTTPError(w, http.StatusInternalServerError, "reading tail: %v", err)
 		return
 	}
 }
@@ -1432,10 +1209,6 @@ func validateAddVectors(vectors [][]float32, dim int) error {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	s.mu.RLock()
 	st := s.idx.Stats()
 	metric := s.idx.Metric().String()
@@ -1485,7 +1258,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp["adaptive"] = ad
 	}
 	// Serving latency quantiles, once there is traffic to summarise.
-	if h := s.m.reqDuration["search"]; h.Count() > 0 {
+	if h := s.front.Duration("search"); h.Count() > 0 {
 		resp["search_latency_seconds"] = map[string]any{
 			"count": h.Count(),
 			"p50":   h.Quantile(0.50),
@@ -1493,42 +1266,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"p99":   h.Quantile(0.99),
 		}
 	}
-	s.writeJSON(w, resp)
-}
-
-// writeReply sends the encoded 200 body of a /search or /add in the codec
-// the request spoke. An empty body is a reply that failed to encode (the
-// caller logged why): the status line still goes out, as it always has.
-func (s *Server) writeReply(w http.ResponseWriter, codec wire.Codec, body []byte) {
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		s.slogger().Error("writing response failed", "err", err)
-	}
-}
-
-// writeJSON sends v with a 200. The Content-Type header is set before
-// the status line goes out (headers are immutable afterwards), and
-// encode failures — a closed connection, an unmarshalable value — are
-// logged rather than swallowed.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	s.writeJSONStatus(w, http.StatusOK, v)
-}
-
-// writeJSONStatus sends v with an explicit status code (the 429 paths
-// attach structured bodies — queue depth, retry hints — to non-200s).
-func (s *Server) writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.slogger().Error("encoding response failed", "err", err)
-	}
-}
-
-func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}); err != nil {
-		s.slogger().Error("encoding error response failed", "err", err)
-	}
+	s.front.JSON(w, http.StatusOK, resp)
 }

@@ -153,7 +153,7 @@ func TestSlowQueryAutoTrace(t *testing.T) {
 	if tr.SpanDuration("scan") == 0 && tr.SpanDuration("select") == 0 && tr.SpanDuration("merge") == 0 {
 		t.Errorf("post-hoc slow trace has no stage spans: %+v", tr.Spans)
 	}
-	if _, slow := s.tracer().Recorded(); slow != 1 {
+	if _, slow := s.front.Recorder().Recorded(); slow != 1 {
 		t.Errorf("slow counter %d, want 1", slow)
 	}
 }

@@ -4,7 +4,7 @@
 GO ?= go
 PAIRS ?= 10
 
-.PHONY: all build test test-noasm bench-test bench-ab race check bench benchall vet fmt fmt-check check-orphans bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
+.PHONY: all build test test-noasm bench-test bench-ab race check bench benchall vet fmt fmt-check check-orphans bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean loc
 
 all: build vet test
 
@@ -32,6 +32,11 @@ bench-test:
 # pairs, then `bench/run.sh compare`).
 bench-ab:
 	PAIRS=$(PAIRS) bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
+
+# Code size: non-test Go + assembly lines outside bench/ (the number
+# ROADMAP tracks; simplicity changes quote it before and after).
+loc:
+	@sh scripts/loc.sh
 
 # One race package list: ci-race's, which the CI race job mirrors.
 race: ci-race

@@ -82,10 +82,9 @@ func main() {
 		fatalf("provide -queries or -random")
 	}
 
-	// With -trace, the batch runs with a trace attached: the engine
-	// records its select/scan/merge stage spans into it (the same
-	// plumbing annaserve uses), and the rerank / simulate arms add
-	// their own spans.
+	// With -trace, each engine run's BatchReport attaches its
+	// select/scan/merge stage spans to the trace (as annaserve does),
+	// and the rerank / simulate arms add their own spans.
 	var tr *trace.Trace
 	if *traceOn {
 		tr = trace.New(trace.NewID())
@@ -107,21 +106,18 @@ func main() {
 			EscalateFactor: 4, // inert on indexes without rerank storage
 			Margin:         float32(*escMargin),
 		}
-		ctx := context.Background()
-		if tr != nil {
-			ctx = trace.NewContext(ctx, tr)
-		}
 		results = make([][]anna.Result, len(qs))
 		effort = make([]effortStat, len(qs))
 		var scanned, clusters, escalated int64
 		start := time.Now()
 		for i, q := range qs {
-			rep, err := idx.SearchBatchContext(ctx, [][]float32{q}, anna.SearchOptions{
+			rep, err := idx.SearchBatchContext(context.Background(), [][]float32{q}, anna.SearchOptions{
 				W: *w, K: *k, Adaptive: ao,
 			})
 			if err != nil {
 				fatalf("adaptive search: %v", err)
 			}
+			addStages(tr, rep)
 			results[i] = rep.Results[0]
 			effort[i] = effortStat{clusters: rep.ClustersScanned, escalated: rep.Escalations}
 			scanned += rep.ScannedVectors
@@ -148,16 +144,13 @@ func main() {
 		}
 		fmt.Printf("software engine with %dx re-ranking\n", *rerank)
 	case *backend == "software":
-		ctx := context.Background()
-		if tr != nil {
-			ctx = trace.NewContext(ctx, tr)
-		}
-		rep, err := idx.SearchBatchContext(ctx, qs, anna.SearchOptions{
+		rep, err := idx.SearchBatchContext(context.Background(), qs, anna.SearchOptions{
 			W: *w, K: *k, Mode: anna.ClusterMajor,
 		})
 		if err != nil {
 			fatalf("searching: %v", err)
 		}
+		addStages(tr, rep)
 		results = rep.Results
 		fmt.Printf("software engine: %.0f QPS measured, %d vectors scanned\n",
 			rep.QPS, rep.ScannedVectors)
@@ -188,19 +181,8 @@ func main() {
 	if tr != nil {
 		tr.Finish(0)
 		fmt.Printf("trace %s: %d queries in %v\n", tr.ID, tr.Queries, tr.Total.Round(time.Microsecond))
-		if tr.Parent != "" {
-			fmt.Printf("  %-10s %s\n", "parent", tr.Parent)
-		}
 		for _, sp := range tr.Spans {
 			fmt.Printf("  %-10s %v\n", sp.Name, sp.Duration.Round(time.Microsecond))
-		}
-		for _, hp := range tr.Hops {
-			mark := ""
-			if hp.Winner {
-				mark = " winner"
-			}
-			fmt.Printf("  shard%d/%s attempt %d %v%s\n",
-				hp.Shard, hp.Kind, hp.Attempt, hp.Duration.Round(time.Microsecond), mark)
 		}
 		if tr.Scanned > 0 {
 			fmt.Printf("  %-10s %d vectors\n", "scanned", tr.Scanned)
@@ -226,6 +208,17 @@ func main() {
 			fmt.Printf("  (%d, %.4f)", r.ID, r.Score)
 		}
 		fmt.Println()
+	}
+}
+
+// addStages attaches one engine run's stage spans and work counts to
+// tr, when tracing.
+func addStages(tr *trace.Trace, rep *anna.BatchReport) {
+	if tr != nil {
+		tr.AddStages(trace.Stages{
+			Select: rep.SelectTime, Scan: rep.ScanTime, Rerank: rep.RerankTime, Merge: rep.MergeTime,
+			Scanned: rep.ScannedVectors, Clusters: rep.ClustersScanned, Escalated: rep.Escalations,
+		})
 	}
 }
 

@@ -38,14 +38,15 @@
 // requests for up to -grace after SIGINT/SIGTERM before exiting (with a
 // final snapshot when -data is set).
 //
-// Serving-path performance: a single-query /search runs at once while
-// one of the -batch-concurrent engine slots is free; requests that
-// arrive while all are busy are coalesced by the next slot to free into
-// a shared engine batch (bit-exact; -batch-max caps the batch size; a
-// negative -batch-concurrent switches the batcher off), repeated queries
-// are answered from a quantized-query result cache of -cache entries
-// (invalidated by /add), and -tenants assigns per-API-key QoS — weights,
-// token-bucket rate limits, and interactive/bulk lanes:
+// Serving-path performance: every /search sends its cache misses to the
+// engine through the batcher, at once while one of the -batch-concurrent
+// engine slots is free; requests that arrive while all are busy are
+// coalesced by the next slot to free into a shared engine batch
+// (bit-exact; -batch-max caps the batch size, a larger request runs
+// alone; a negative -batch-concurrent switches coalescing off), repeated
+// queries are answered from a quantized-query result cache of -cache
+// entries (invalidated by /add), and -tenants assigns per-API-key QoS —
+// weights, token-bucket rate limits, and interactive/bulk lanes:
 //
 //	annaserve -index sift.anna \
 //	  -batch-max 64 -cache 8192 \
@@ -152,7 +153,7 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", 0, "auto-snapshot after this many added vectors (0 = only /admin/snapshot and shutdown)")
 		workers     = flag.Int("workers", 0, "ingest parallelism for /add and WAL replay (0 = GOMAXPROCS); the index is byte-identical for any value")
 		batchMax    = flag.Int("batch-max", 64, "most queries a freed engine slot takes from the backlog as one coalesced batch")
-		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: coalesced batches executing at once (0 = GOMAXPROCS; negative disables coalescing of single-query searches that find every slot busy)")
+		batchConc   = flag.Int("batch-concurrent", 0, "engine slots: engine batches executing at once, every search's misses among them (0 = GOMAXPROCS; negative disables coalescing and the bound: each request's misses run as their own batch)")
 		cacheSize   = flag.Int("cache", 4096, "quantized-query result-cache entries (negative = disabled)")
 		tenantsSpec = flag.String("tenants", "", `per-tenant QoS: "key=weight:4,rate:1000,burst:2000,lane:interactive,name:web;key2=lane:bulk" (empty = one default tenant)`)
 		recallFvecs = flag.String("recall-fvecs", "", "fvecs reference corpus for live shadow recall estimation (empty = disabled)")
@@ -272,9 +273,10 @@ func main() {
 	if err := wait(logger, fl.Grace); err != nil {
 		fl.Fatal("server failed", "err", err)
 	}
-	// Order matters: the HTTP server has drained, but coalesced searches
-	// may still sit in the QoS batcher. Drain it before the store
-	// snapshot so no in-flight engine batch runs against a closing index.
+	// Order matters: the HTTP server has drained (or its grace expired),
+	// but searches may still sit in the QoS batcher, which every engine
+	// batch goes through. Drain it before the store snapshot so no
+	// in-flight engine batch runs against a closing index.
 	srv.Close()
 	if store != nil {
 		// Checkpoint so the next start replays an empty WAL. Failure is

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"anna/internal/pq"
-	"anna/internal/trace"
 )
 
 // A pre-cancelled context aborts the run before any query executes and
@@ -113,54 +112,6 @@ func TestRunCancelledMidBatch(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// A context carrying a trace.Trace comes back with per-stage spans and
-// the scanned-vector count attached; a cancelled run attaches nothing.
-func TestRunContextAttachesTraceSpans(t *testing.T) {
-	idx, ds := testIndex(t, pq.L2)
-	e := New(idx)
-	for _, mode := range []Mode{QueryAtATime, ClusterMajor} {
-		tr := trace.New("t1")
-		ctx := trace.NewContext(context.Background(), tr)
-		rep, err := e.RunContext(ctx, ds.Queries, Options{Mode: mode, W: 6, K: 10})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		for _, span := range []string{"select", "scan", "merge"} {
-			if tr.SpanDuration(span) != rep.stageTime(span) {
-				t.Errorf("%v: span %s = %v, report says %v",
-					mode, span, tr.SpanDuration(span), rep.stageTime(span))
-			}
-		}
-		if tr.SpanDuration("select") <= 0 || tr.SpanDuration("scan") <= 0 {
-			t.Errorf("%v: zero-valued stage spans: %+v", mode, tr.Spans)
-		}
-		if tr.Scanned != rep.ScannedVectors {
-			t.Errorf("%v: trace scanned %d, report %d", mode, tr.Scanned, rep.ScannedVectors)
-		}
-	}
-
-	// Cancelled runs attach no spans.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tr := trace.New("t2")
-	e.RunContext(trace.NewContext(ctx, tr), ds.Queries, Options{Mode: ClusterMajor, W: 6, K: 10})
-	if len(tr.Spans) != 0 {
-		t.Errorf("cancelled run attached spans: %+v", tr.Spans)
-	}
-}
-
-// stageTime maps a span name back to the report field it mirrors.
-func (r *Report) stageTime(span string) time.Duration {
-	switch span {
-	case "select":
-		return r.SelectTime
-	case "scan":
-		return r.ScanTime
-	default:
-		return r.MergeTime
 	}
 }
 

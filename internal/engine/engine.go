@@ -38,7 +38,6 @@ import (
 	"anna/internal/pq"
 	"anna/internal/simd"
 	"anna/internal/topk"
-	"anna/internal/trace"
 	"anna/internal/vecmath"
 )
 
@@ -183,11 +182,6 @@ func (e *Engine) Run(queries *vecmath.Matrix, opt Options) *Report {
 // so a cancelled batch stops within one item's latency per worker. On
 // cancellation it returns ctx's error and a nil report; pool gauges are
 // unwound so QueueDepth/InFlight read zero afterwards.
-//
-// When ctx carries a trace.Trace (trace.NewContext), the run attaches
-// its per-stage timings as select/scan/merge spans and its scanned
-// count to the trace. An untraced context pays one allocation-free
-// lookup.
 func (e *Engine) RunContext(ctx context.Context, queries *vecmath.Matrix, opt Options) (*Report, error) {
 	if opt.W <= 0 || opt.K <= 0 {
 		panic(fmt.Sprintf("engine: invalid options W=%d K=%d", opt.W, opt.K))
@@ -237,12 +231,6 @@ func (e *Engine) RunContext(ctx context.Context, queries *vecmath.Matrix, opt Op
 	}
 	if rep.Elapsed > 0 {
 		rep.QPS = float64(queries.Rows) / rep.Elapsed.Seconds()
-	}
-	if tr := trace.FromContext(ctx); tr != nil {
-		tr.AddStages(trace.Stages{
-			Select: st.Select, Scan: st.Scan, Rerank: st.Rerank, Merge: st.Merge,
-			Scanned: st.Scanned, Clusters: st.Clusters, Escalated: st.Escalated,
-		})
 	}
 	return rep, nil
 }

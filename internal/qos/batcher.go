@@ -6,12 +6,13 @@
 //
 // The motivation is the paper's Figure 5: the engine is fastest in
 // cluster-major mode because inverted-list loads are amortized across a
-// batch of queries, but an HTTP server naturally dispatches a batch of
-// one per request. The Batcher restores the batch without ever idling
-// the engine to let one fill: a request that finds a free engine slot
-// runs at once, requests that arrive while every slot is busy park, and
-// a completing batch takes the backlog (up to a maximum batch size) as
-// its slot's next engine run, with results fanned back to the waiting
+// batch of queries, but an HTTP server naturally dispatches a batch per
+// request. The Batcher restores the batch without ever idling the
+// engine to let one fill: a request (a member of one or more queries)
+// that finds a free engine slot runs at once, requests that arrive
+// while every slot is busy park, and a completing batch takes the
+// backlog (up to a maximum batch size, whole members only) as its
+// slot's next engine run, with results fanned back to the waiting
 // requests. Execution remains per-query independent inside the engine,
 // so coalescing is bit-exact with per-request serving.
 //
@@ -25,7 +26,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +77,8 @@ type RunFunc[R any] func(ctx context.Context, queries [][]float32, w, k int) ([]
 
 // BatchInfo describes the coalesced batch a request rode in.
 type BatchInfo struct {
-	// Size is the number of queries in the executed engine batch.
+	// Size is the number of queries in the executed engine batch, the
+	// request's own included.
 	Size int
 	// Wait is the time the request spent queued behind busy engine
 	// slots before its batch started: scheduling noise when a slot was
@@ -82,12 +86,11 @@ type BatchInfo struct {
 	Wait time.Duration
 }
 
-// Observer receives batcher events for metrics. Callbacks must be safe
-// for concurrent use; nil fields are skipped.
+// Observer receives batcher events for metrics, counted in queries.
+// Callbacks must be safe for concurrent use; nil fields are skipped.
 type Observer struct {
-	// Flush is called once per executed batch with its size and the
-	// queue depth its class left behind.
-	Flush func(size, remaining int)
+	// Flush is called once per executed batch with its size.
+	Flush func(size int)
 	// Wait is called once per executed query with its BatchInfo.Wait.
 	Wait func(d time.Duration)
 }
@@ -95,93 +98,104 @@ type Observer struct {
 // BatcherOptions configure a Batcher.
 type BatcherOptions struct {
 	// MaxBatch caps the queries one engine batch takes from the backlog
-	// (default 64).
+	// (default 64). A batch takes members only whole; one larger than
+	// MaxBatch runs alone.
 	MaxBatch int
 	// MaxConcurrent is the number of engine slots: batches executing at
-	// once (default runtime.GOMAXPROCS(0)). The bound is what makes
+	// once (0 means runtime.GOMAXPROCS(0)). The bound is what makes
 	// queries coalesce and gives the priority lanes teeth: demand beyond
 	// it backs up in the batcher's queues — where interactive requests
 	// jump ahead of bulk and a freed slot takes a whole batch — instead
-	// of racing into the engine in arrival order.
+	// of racing into the engine in arrival order. Negative switches
+	// coalescing off: every member finds a free slot, so it runs on its
+	// caller's goroutine, unbounded, uncopied and unobserved.
 	MaxConcurrent int
 	// Observer receives flush/wait events for metrics.
 	Observer Observer
 }
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by Submit and SubmitMember after Close.
 var ErrClosed = errors.New("qos: batcher closed")
 
 // outcome is what a batch delivers to one waiting request.
 type outcome[R any] struct {
-	res  R
+	res  []R
 	info BatchInfo
 	err  error
 }
 
-// waiter is one request in the batcher.
+// waiter is one member: a request's queries, which travel as a unit.
 type waiter[R any] struct {
-	ctx   context.Context
-	query []float32
-	enq   time.Time
-	seq   uint64          // parking order; decides which class a freed slot serves
-	ch    chan outcome[R] // buffered(1): a batch never blocks on delivery
+	ctx     context.Context
+	queries [][]float32
+	enq     time.Time
+	seq     uint64          // parking order; decides which class a freed slot serves
+	ch      chan outcome[R] // buffered(1): a batch never blocks on delivery
 }
 
-// tenantQ is one tenant's FIFO within a lane.
+// tenantQ is one tenant's FIFO of members within a lane.
 type tenantQ[R any] struct {
 	name   string
 	weight int
+	credit int // queries left in this visit; negative is a debt
 	q      []*waiter[R]
 }
 
 // laneQ holds the per-tenant queues of one priority lane and dequeues
-// them weighted-fair: a round-robin over tenants that grants each up to
-// its weight in queries per pass, so a tenant with weight 4 drains 4x
-// faster than a weight-1 tenant but can never lock others out.
+// them weighted-fair in queries: a deficit round-robin in which a visit
+// is worth the tenant's weight in queries, spent on whole members (an
+// overshoot is repaid from later visits), so a weight-4 tenant drains
+// 4x the queries of a weight-1 tenant but can never lock others out.
 type laneQ[R any] struct {
 	order []*tenantQ[R] // tenants with queued work, arrival order
 	rr    int           // next tenant to serve
-	n     int           // total queued waiters in the lane
+	n     int           // total queued queries in the lane
 }
 
 func (l *laneQ[R]) enqueue(tenant string, weight int, w *waiter[R]) {
-	if weight < 1 {
-		weight = 1
-	}
+	l.n += len(w.queries)
 	for _, t := range l.order {
 		if t.name == tenant {
-			t.weight = weight
+			t.weight = max(weight, 1)
 			t.q = append(t.q, w)
-			l.n++
 			return
 		}
 	}
-	l.order = append(l.order, &tenantQ[R]{name: tenant, weight: weight, q: []*waiter[R]{w}})
-	l.n++
+	weight = max(weight, 1)
+	l.order = append(l.order, &tenantQ[R]{name: tenant, weight: weight, credit: weight, q: []*waiter[R]{w}})
 }
 
-// dequeue appends up to max-len(dst) waiters to dst in weighted
-// round-robin order and returns the extended slice.
-func (l *laneQ[R]) dequeue(dst []*waiter[R], max int) []*waiter[R] {
-	for l.n > 0 && len(dst) < max {
+// dequeue appends whole members to dst (holding n queries) and returns
+// it with its query count. It stops before a member that would take the
+// batch past limit queries, unless the batch is empty; that tenant keeps
+// its turn and credit for the next batch.
+func (l *laneQ[R]) dequeue(dst []*waiter[R], n, limit int) ([]*waiter[R], int) {
+	for l.n > 0 && n < limit {
 		if l.rr >= len(l.order) {
 			l.rr = 0
 		}
 		t := l.order[l.rr]
-		for take := t.weight; take > 0 && len(t.q) > 0 && len(dst) < max; take-- {
+		for len(t.q) > 0 && t.credit > 0 {
+			m := len(t.q[0].queries)
+			if n > 0 && n+m > limit {
+				return dst, n
+			}
 			dst = append(dst, t.q[0])
 			t.q[0] = nil // release for GC; the backing array is kept
 			t.q = t.q[1:]
-			l.n--
+			t.credit -= m
+			l.n -= m
+			n += m
 		}
 		if len(t.q) == 0 {
 			l.order = append(l.order[:l.rr], l.order[l.rr+1:]...)
 			// l.rr now points at the next tenant already.
 		} else {
+			t.credit += t.weight // the share of its next visit
 			l.rr++
 		}
 	}
-	return dst
+	return dst, n
 }
 
 // class groups parked waiters that can share one engine batch: a batch
@@ -204,16 +218,15 @@ func (c *class[R]) head() *waiter[R] {
 	return l.order[l.rr%len(l.order)].q[0]
 }
 
-// batch is one engine run: waiters of a single class.
+// batch is one engine run: members of a single class.
 type batch[R any] struct {
-	w, k      int
-	waiters   []*waiter[R]
-	remaining int // waiters the class still holds, for Observer.Flush
+	w, k    int
+	waiters []*waiter[R]
 }
 
-// Batcher coalesces concurrent single-query submissions into bounded
-// engine batches. It is work-conserving: a query waits only while every
-// slot is executing, so the invariant under mu is
+// Batcher coalesces concurrent submissions into bounded engine batches.
+// It is work-conserving: a member waits only while every slot is
+// executing, so the invariant under mu is
 //
 //	queuedN > 0  ⇒  running == maxConc
 //
@@ -229,10 +242,10 @@ type Batcher[R any] struct {
 	obs      Observer
 
 	mu      sync.Mutex
-	classes map[[2]int]*class[R] // (W, K) → parked waiters; non-empty classes only
-	queuedN int
-	seq     uint64 // last waiter.seq handed out
-	running int    // slots executing a batch
+	classes map[[2]int]*class[R] // (W, K) → parked members; non-empty classes only
+	queuedN int                  // parked queries
+	seq     uint64               // last waiter.seq handed out
+	running int                  // slots executing a batch
 	closed  bool
 	slotWG  sync.WaitGroup // one unit per occupied slot; Drain waits on it
 }
@@ -245,8 +258,12 @@ func NewBatcher[R any](run RunFunc[R], opt BatcherOptions) *Batcher[R] {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 64
 	}
-	if opt.MaxConcurrent <= 0 {
+	if opt.MaxConcurrent == 0 {
 		opt.MaxConcurrent = runtime.GOMAXPROCS(0)
+	}
+	if opt.MaxConcurrent < 0 {
+		// Coalescing off: a slot is always free, and no run is observed.
+		opt.MaxConcurrent, opt.Observer = math.MaxInt, Observer{}
 	}
 	return &Batcher[R]{
 		run:      run,
@@ -265,79 +282,126 @@ func (b *Batcher[R]) QueueDepth() int {
 	return b.queuedN
 }
 
-// Submit executes one query and blocks until its batch has run or ctx
-// is done. With a slot free the query starts at once as a batch of one;
-// otherwise it parks until a completing batch hands its slot over. The
-// query slice is copied, so the caller may recycle its buffer as soon
-// as Submit returns — even on cancellation, when the batch may still
-// execute afterwards.
+// Submit executes a single query: SubmitMember of a member of one.
 func (b *Batcher[R]) Submit(ctx context.Context, tenant string, lane Lane, weight int, query []float32, w, k int) (R, BatchInfo, error) {
-	var zero R
-	wt := &waiter[R]{
-		ctx:   ctx,
-		query: append([]float32(nil), query...),
-		enq:   time.Now(),
-		ch:    make(chan outcome[R], 1),
+	var r R
+	res, info, err := b.SubmitMember(ctx, tenant, lane, weight, [][]float32{query}, w, k)
+	if err == nil {
+		r = res[0]
 	}
+	return r, info, err
+}
+
+// SubmitMember executes one member — queries, n ≥ 1, from one request —
+// and blocks until its batch has run or ctx is done; results[i] answers
+// queries[i]. With a slot free the member runs at once, on the caller's
+// goroutine, as a batch of its own; otherwise it parks until a
+// completing batch hands its slot over. Drain waits for both.
+func (b *Batcher[R]) SubmitMember(ctx context.Context, tenant string, lane Lane, weight int, queries [][]float32, w, k int) ([]R, BatchInfo, error) {
+	enq := time.Now()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return zero, BatchInfo{}, ErrClosed
+		return nil, BatchInfo{}, ErrClosed
 	}
 	if b.running < b.maxConc {
-		// A free slot means nothing is parked (the invariant), so this
-		// query is the whole batch.
+		// A free slot means nothing is parked (the invariant): the member
+		// runs here, alone and uncopied. The deferred hand-off frees the
+		// slot even if the run panics, and starts a goroutine for a backlog.
 		b.running++
 		b.slotWG.Add(1)
 		b.mu.Unlock()
-		go b.runSlot(batch[R]{w: w, k: k, waiters: []*waiter[R]{wt}})
-	} else {
-		ck := [2]int{w, k}
-		c := b.classes[ck]
-		if c == nil {
-			c = &class[R]{w: w, k: k}
-			b.classes[ck] = c
+		defer func() {
+			if bt, ok := b.handOff(); ok {
+				go b.runSlot(bt)
+			}
+		}()
+		info := BatchInfo{Size: len(queries), Wait: time.Since(enq)}
+		if b.obs.Flush != nil {
+			b.obs.Flush(len(queries))
 		}
-		li := 0
-		if lane == Bulk {
-			li = 1
+		for i := 0; b.obs.Wait != nil && i < len(queries); i++ {
+			b.obs.Wait(info.Wait)
 		}
-		b.seq++
-		wt.seq = b.seq
-		c.lanes[li].enqueue(tenant, weight, wt)
-		b.queuedN++
-		b.mu.Unlock()
+		res, err := b.runChecked(ctx, queries, w, k)
+		return res, info, err
 	}
+	// Parked members are copied (under the lock, only when saturated) so
+	// the caller may recycle its buffers even if it gives up first.
+	wt := &waiter[R]{
+		ctx:     ctx,
+		queries: cloneQueries(queries),
+		enq:     enq,
+		ch:      make(chan outcome[R], 1),
+	}
+	ck := [2]int{w, k}
+	c := b.classes[ck]
+	if c == nil {
+		c = &class[R]{w: w, k: k}
+		b.classes[ck] = c
+	}
+	li := 0
+	if lane == Bulk {
+		li = 1
+	}
+	b.seq++
+	wt.seq = b.seq
+	c.lanes[li].enqueue(tenant, weight, wt)
+	b.queuedN += len(queries)
+	b.mu.Unlock()
 
 	select {
 	case out := <-wt.ch:
 		return out.res, out.info, out.err
 	case <-ctx.Done():
-		// The batch may still execute this query (its copy lives in the
-		// queue); the outcome lands in the buffered channel and is
+		// The batch may still execute this member (its copy lives in
+		// the queue); the outcome lands in the buffered channel and is
 		// dropped.
-		return zero, BatchInfo{}, ctx.Err()
+		return nil, BatchInfo{}, ctx.Err()
 	}
 }
 
-// runSlot executes bt in the slot its caller claimed, then keeps the
-// slot for as long as there is a backlog: each pass takes the next
-// batch from the class that has waited longest. The slot is released
-// only once nothing is parked, which is what maintains the invariant.
-func (b *Batcher[R]) runSlot(bt batch[R]) {
-	defer b.slotWG.Done()
-	for {
-		b.execute(bt)
-		b.mu.Lock()
-		c := b.nextClass()
-		if c == nil {
-			b.running--
-			b.mu.Unlock()
-			return
-		}
-		bt = b.assemble(c)
-		b.mu.Unlock()
+// cloneQueries copies queries into one backing array.
+func cloneQueries(queries [][]float32) [][]float32 {
+	flat := slices.Concat(queries...)
+	out := make([][]float32, len(queries))
+	for i, q := range queries {
+		out[i], flat = flat[:len(q):len(q)], flat[len(q):]
 	}
+	return out
+}
+
+// runChecked calls the RunFunc and checks it answered every query.
+func (b *Batcher[R]) runChecked(ctx context.Context, queries [][]float32, w, k int) ([]R, error) {
+	res, err := b.run(ctx, queries, w, k)
+	if err == nil && len(res) != len(queries) {
+		err = fmt.Errorf("qos: batch run returned %d results for %d queries", len(res), len(queries))
+	}
+	return res, err
+}
+
+// runSlot executes bt in the slot handed to it, then keeps the slot for
+// as long as there is a backlog.
+func (b *Batcher[R]) runSlot(bt batch[R]) {
+	for ok := true; ok; bt, ok = b.handOff() {
+		b.execute(bt)
+	}
+}
+
+// handOff is called by a slot that finished a batch: it returns the
+// slot's next batch, taken from the class that has waited longest, or
+// releases the slot (ok false) once nothing is parked, which is what
+// maintains the invariant.
+func (b *Batcher[R]) handOff() (bt batch[R], ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c := b.nextClass()
+	if c == nil {
+		b.running--
+		b.slotWG.Done()
+		return bt, false
+	}
+	return b.assemble(c), true
 }
 
 // nextClass picks the class a freed slot serves: the one whose head
@@ -355,46 +419,43 @@ func (b *Batcher[R]) nextClass() *class[R] {
 	return next
 }
 
-// assemble removes up to maxBatch waiters from c — interactive lane
-// first, then bulk, each weighted-fair across tenants. Caller holds
-// b.mu.
+// assemble removes whole members holding up to maxBatch queries from c
+// (one larger member alone) — interactive lane first, then bulk, each
+// weighted-fair across tenants. Caller holds b.mu.
 func (b *Batcher[R]) assemble(c *class[R]) batch[R] {
-	ws := make([]*waiter[R], 0, min(c.queued(), b.maxBatch))
-	ws = c.lanes[0].dequeue(ws, b.maxBatch)
-	ws = c.lanes[1].dequeue(ws, b.maxBatch)
-	b.queuedN -= len(ws)
-	remaining := c.queued()
-	if remaining == 0 {
+	ws, n := make([]*waiter[R], 0, min(c.queued(), b.maxBatch)), 0
+	ws, n = c.lanes[0].dequeue(ws, n, b.maxBatch)
+	ws, n = c.lanes[1].dequeue(ws, n, b.maxBatch)
+	b.queuedN -= n
+	if c.queued() == 0 {
 		delete(b.classes, [2]int{c.w, c.k})
 	}
-	return batch[R]{w: c.w, k: c.k, waiters: ws, remaining: remaining}
+	return batch[R]{w: c.w, k: c.k, waiters: ws}
 }
 
 // execute runs one batch and fans results back out.
 func (b *Batcher[R]) execute(bt batch[R]) {
-	// Skip waiters that gave up while parked; their Submit has already
+	// Skip waiters that gave up while parked; their SubmitMember has already
 	// returned ctx.Err().
 	live := bt.waiters[:0]
+	var queries [][]float32
 	for _, w := range bt.waiters {
 		if w.ctx.Err() == nil {
 			live = append(live, w)
+			queries = append(queries, w.queries...)
 		}
 	}
 	if len(live) == 0 {
 		return
 	}
 	if b.obs.Flush != nil {
-		b.obs.Flush(len(live), bt.remaining)
-	}
-	queries := make([][]float32, len(live))
-	for i, w := range live {
-		queries[i] = w.query
+		b.obs.Flush(len(queries))
 	}
 
 	// The batch context outlives any single member: it is canceled only
 	// once every member has abandoned, and carries the latest member
 	// deadline when every member has one (a member with an earlier
-	// deadline times out individually in Submit while the batch
+	// deadline times out individually in SubmitMember while the batch
 	// finishes for the others).
 	bctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -425,21 +486,19 @@ func (b *Batcher[R]) execute(bt batch[R]) {
 	}
 
 	start := time.Now()
-	res, err := b.run(bctx, queries, bt.w, bt.k)
+	res, err := b.runChecked(bctx, queries, bt.w, bt.k)
 	for _, stop := range stops {
 		stop()
 	}
-	if err == nil && len(res) != len(live) {
-		err = fmt.Errorf("qos: batch run returned %d results for %d queries", len(res), len(live))
-	}
-	for i, w := range live {
-		out := outcome[R]{info: BatchInfo{Size: len(live), Wait: start.Sub(w.enq)}}
-		if err != nil {
-			out.err = err
-		} else {
-			out.res = res[i]
+	off := 0
+	for _, w := range live {
+		n := len(w.queries)
+		out := outcome[R]{info: BatchInfo{Size: len(queries), Wait: start.Sub(w.enq)}, err: err}
+		if err == nil {
+			out.res = res[off : off+n : off+n]
 		}
-		if b.obs.Wait != nil {
+		off += n
+		for i := 0; b.obs.Wait != nil && i < n; i++ {
 			b.obs.Wait(out.info.Wait)
 		}
 		w.ch <- out
@@ -457,9 +516,9 @@ func (b *Batcher[R]) Close() {
 }
 
 // Drain closes the batcher and then blocks until every slot has run
-// the backlog dry and delivered its outcomes. After Drain returns, no
-// batch goroutine is running and no waiter is parked, so the engine
-// underneath can be torn down safely.
+// the backlog dry and delivered its outcomes, including runs on their
+// callers' goroutines. After Drain returns, no batch is running and no
+// member is parked, so the engine underneath can be torn down safely.
 func (b *Batcher[R]) Drain() {
 	b.Close()
 	b.slotWG.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,28 +45,49 @@ func (g *gatedRun) run(ctx context.Context, queries [][]float32, w, k int) ([]fl
 
 // result is one Submit's return values.
 type result struct {
-	got  float32
+	got  []float32
 	info BatchInfo
 	err  error
 }
 
-// submit runs one Submit on its own goroutine and returns the channel
-// its result arrives on.
-func submit(b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+// member returns n one-component queries numbered v, v+1, ….
+func member(v float32, n int) [][]float32 {
+	m := make([][]float32, n)
+	for i := range m {
+		m[i] = []float32{v + float32(i)}
+	}
+	return m
+}
+
+// submitN runs one SubmitMember of member(v, n) on its own goroutine
+// (a single query goes through Submit) and returns the channel its
+// result arrives on.
+func submitN(b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, n, w int) <-chan result {
 	ch := make(chan result, 1)
 	go func() {
-		got, info, err := b.Submit(ctx, tenant, lane, weight, []float32{v}, w, 4)
+		if n == 1 {
+			got, info, err := b.Submit(ctx, tenant, lane, weight, []float32{v}, w, 4)
+			ch <- result{[]float32{got}, info, err}
+			return
+		}
+		got, info, err := b.SubmitMember(ctx, tenant, lane, weight, member(v, n), w, 4)
 		ch <- result{got, info, err}
 	}()
 	return ch
 }
 
-// park submits one query that must queue (every slot is held) and
-// returns once it is parked, so successive parks have a known order.
-func park(t *testing.T, b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+// submit is submitN of a single query.
+func submit(b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+	return submitN(b, ctx, tenant, lane, weight, v, 1, w)
+}
+
+// parkN submits member(v, n), which must queue (every slot is held),
+// and returns once it is parked, so successive parks have a known
+// order.
+func parkN(t *testing.T, b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, n, w int) <-chan result {
 	t.Helper()
 	depth := b.QueueDepth()
-	ch := submit(b, ctx, tenant, lane, weight, v, w)
+	ch := submitN(b, ctx, tenant, lane, weight, v, n, w)
 	for b.QueueDepth() == depth {
 		select {
 		case r := <-ch:
@@ -74,7 +96,16 @@ func park(t *testing.T, b *Batcher[float32], ctx context.Context, tenant string,
 			runtime.Gosched()
 		}
 	}
+	if d := b.QueueDepth(); d != depth+n {
+		t.Fatalf("parking a member of %d moved the queue depth %d → %d", n, depth, d)
+	}
 	return ch
+}
+
+// park is parkN of a single query.
+func park(t *testing.T, b *Batcher[float32], ctx context.Context, tenant string, lane Lane, weight int, v float32, w int) <-chan result {
+	t.Helper()
+	return parkN(t, b, ctx, tenant, lane, weight, v, 1, w)
 }
 
 // holdSlot occupies the single slot of a MaxConcurrent:1 batcher with a
@@ -89,12 +120,23 @@ func holdSlot(t *testing.T, b *Batcher[float32], g *gatedRun) <-chan result {
 	return ch
 }
 
-func wantOK(t *testing.T, ch <-chan result, v float32, size int) {
+// wantMember checks that member(v, n) got its own results back, in
+// order, from a batch of size queries.
+func wantMember(t *testing.T, ch <-chan result, v float32, n, size int) {
 	t.Helper()
 	r := <-ch
-	if r.err != nil || r.got != v || r.info.Size != size {
-		t.Errorf("submit %v: got %v, batch size %d, err %v; want %v in a batch of %d", v, r.got, r.info.Size, r.err, v, size)
+	ok := r.err == nil && len(r.got) == n && r.info.Size == size
+	for i := 0; ok && i < n; i++ {
+		ok = r.got[i] == v+float32(i)
 	}
+	if !ok {
+		t.Errorf("submit %v×%d: got %v, batch size %d, err %v; want %v… in a batch of %d", v, n, r.got, r.info.Size, r.err, v, size)
+	}
+}
+
+func wantOK(t *testing.T, ch <-chan result, v float32, size int) {
+	t.Helper()
+	wantMember(t, ch, v, 1, size)
 }
 
 // The work-conserving pin: with a slot free a query never waits for
@@ -152,25 +194,36 @@ func TestBatcherDefaultSlots(t *testing.T) {
 	b.Drain()
 }
 
-// Queries that arrive while the slot is busy leave together when it
-// frees: one batch of exactly N, split at MaxBatch, every submitter
-// getting its own query's result.
+// Members that arrive while the slot is busy leave together when it
+// frees: one batch of exactly N queries, split at MaxBatch but never
+// inside a member, every submitter getting its own queries' results. A
+// member larger than MaxBatch runs as a batch of its own.
 func TestBatcherBacklogLeavesAsOneBatch(t *testing.T) {
+	ones := func(n int) []int {
+		m := make([]int, n)
+		for i := range m {
+			m[i] = 1
+		}
+		return m
+	}
 	for _, tc := range []struct {
-		parked int
-		want   []int
+		name    string
+		members []int // parked member sizes, in order
+		want    []int // batch sizes in queries
 	}{
-		{3, []int{3}},
-		{4, []int{4}},
-		{10, []int{4, 4, 2}},
+		{"3", ones(3), []int{3}},
+		{"4", ones(4), []int{4}},
+		{"10", ones(10), []int{4, 4, 2}},
+		{"never-split", []int{3, 2, 2}, []int{3, 4}},
+		{"oversized-alone", []int{1, 6, 1}, []int{1, 6, 1}},
 	} {
-		t.Run(fmt.Sprint(tc.parked), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			g := newGatedRun()
 			b := NewBatcher(g.run, BatcherOptions{MaxBatch: 4, MaxConcurrent: 1})
 			holder := holdSlot(t, b, g)
-			chs := make([]<-chan result, tc.parked)
-			for i := range chs {
-				chs[i] = park(t, b, context.Background(), "t", Interactive, 1, float32(i), 8)
+			chs := make([]<-chan result, len(tc.members))
+			for i, n := range tc.members {
+				chs[i] = parkN(t, b, context.Background(), "t", Interactive, 1, float32(10*i), n, 8)
 			}
 			g.release <- nil
 			wantOK(t, holder, -1, 1)
@@ -181,9 +234,9 @@ func TestBatcherBacklogLeavesAsOneBatch(t *testing.T) {
 					t.Fatalf("batch of %d (%v), want %d", len(s.firsts), s.firsts, size)
 				}
 				g.release <- nil
-				for range s.firsts {
-					wantOK(t, chs[next], float32(next), size)
-					next++
+				for got := 0; got < size; next++ {
+					wantMember(t, chs[next], float32(10*next), tc.members[next], size)
+					got += tc.members[next]
 				}
 			}
 			b.Drain()
@@ -267,52 +320,60 @@ func TestBatcherInteractiveBeforeBulk(t *testing.T) {
 		g.release <- nil
 	}
 	for i, ch := range bulk {
-		if r := <-ch; r.err != nil || r.got != float32(100+i) {
+		if r := <-ch; r.err != nil || len(r.got) != 1 || r.got[0] != float32(100+i) {
 			t.Errorf("bulk %d: got %v, %v", i, r.got, r.err)
 		}
 	}
 	b.Drain()
 }
 
-// Weighted-fair dequeue: with two fully backlogged tenants of weights 3
-// and 1, a full batch holds a 3:1 mix.
+// Weighted-fair dequeue counts queries, not members: with two fully
+// backlogged tenants of weights 3 and 1, a full batch holds a 3:1 mix
+// of queries whether the light tenant sends single queries or members
+// of two.
 func TestBatcherWeightedFairShare(t *testing.T) {
-	g := newGatedRun()
-	b := NewBatcher(g.run, BatcherOptions{MaxBatch: 8, MaxConcurrent: 1})
-	holder := holdSlot(t, b, g)
-	bg := context.Background()
-	var chs []<-chan result
-	for i := 0; i < 12; i++ {
-		chs = append(chs,
-			park(t, b, bg, "heavy", Bulk, 3, float32(i), 8),
-			park(t, b, bg, "light", Bulk, 1, float32(100+i), 8))
-	}
-	g.release <- nil
-	wantOK(t, holder, -1, 1)
+	for _, light := range []int{1, 2} {
+		t.Run(fmt.Sprintf("light-members-of-%d", light), func(t *testing.T) {
+			g := newGatedRun()
+			b := NewBatcher(g.run, BatcherOptions{MaxBatch: 8, MaxConcurrent: 1})
+			holder := holdSlot(t, b, g)
+			bg := context.Background()
+			var chs []<-chan result
+			for i := 0; i < 12; i++ {
+				chs = append(chs,
+					park(t, b, bg, "heavy", Bulk, 3, float32(i), 8),
+					parkN(t, b, bg, "light", Bulk, 1, float32(100+light*i), light, 8))
+			}
+			g.release <- nil
+			wantOK(t, holder, -1, 1)
 
-	// Assembled with 12 queued per tenant: weighted round-robin gives
-	// the weight-3 tenant 6 of the 8 places (3+1 per pass, two passes).
-	s := <-g.entered
-	heavy := 0
-	for _, f := range s.firsts {
-		if f < 100 {
-			heavy++
-		}
+			// Assembled with 12 members queued per tenant: the deficit
+			// round-robin grants 3 and 1 queries a visit, so the weight-3
+			// tenant gets 6 of the 8 places.
+			s := <-g.entered
+			heavy := 0
+			for _, f := range s.firsts {
+				if f < 100 {
+					heavy++
+				}
+			}
+			if len(s.firsts) != 8 || heavy != 6 {
+				t.Errorf("first backlogged batch %v: %d heavy of %d, want 6 of 8", s.firsts, heavy, len(s.firsts))
+			}
+			g.release <- nil
+			for left := 12 + 12*light - 8; left > 0; { // the rest of the backlog
+				s := <-g.entered
+				left -= len(s.firsts)
+				g.release <- nil
+			}
+			for _, ch := range chs {
+				if r := <-ch; r.err != nil {
+					t.Errorf("submit: %v", r.err)
+				}
+			}
+			b.Drain()
+		})
 	}
-	if len(s.firsts) != 8 || heavy != 6 {
-		t.Errorf("first backlogged batch %v: %d heavy of %d, want 6 of 8", s.firsts, heavy, len(s.firsts))
-	}
-	g.release <- nil
-	for i := 0; i < 2; i++ { // the other 16 queries
-		<-g.entered
-		g.release <- nil
-	}
-	for _, ch := range chs {
-		if r := <-ch; r.err != nil {
-			t.Errorf("submit: %v", r.err)
-		}
-	}
-	b.Drain()
 }
 
 // A submitter that gives up while parked returns at once and is left
@@ -429,8 +490,14 @@ func TestBatcherRunErrorFansOut(t *testing.T) {
 
 // Close refuses new work but the parked backlog is still served; Drain
 // returns only after the last batch has delivered, and nothing the
-// batcher started outlives it.
+// batcher started outlives it. With coalescing off the same holds for
+// a member running inline.
 func TestBatcherCloseAndDrain(t *testing.T) {
+	t.Run("coalescing", testCloseAndDrainCoalescing)
+	t.Run("inline", testCloseAndDrainInline)
+}
+
+func testCloseAndDrainCoalescing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := newGatedRun()
 	b := NewBatcher(g.run, BatcherOptions{MaxBatch: 2, MaxConcurrent: 1})
@@ -475,6 +542,105 @@ func TestBatcherCloseAndDrain(t *testing.T) {
 	}
 }
 
+// A run that panics on the caller's goroutine (net/http recovers a
+// handler's panic) still frees its slot: the next submit runs, and
+// Drain returns.
+func TestBatcherPanickingRunFreesSlot(t *testing.T) {
+	calls := 0
+	run := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
+		if calls++; calls == 1 {
+			panic("boom")
+		}
+		return []float32{queries[0][0]}, nil
+	}
+	b := NewBatcher(run, BatcherOptions{MaxConcurrent: 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the run's panic did not reach the caller")
+			}
+		}()
+		b.Submit(context.Background(), "t", Interactive, 1, []float32{1}, 8, 4)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if got, _, err := b.Submit(ctx, "t", Interactive, 1, []float32{2}, 8, 4); err != nil || got != 2 {
+		t.Fatalf("submit after a panicking run: %v, %v (slot leaked?)", got, err)
+	}
+	b.Drain()
+}
+
+// goid returns the calling goroutine's ID, read from its stack header
+// ("goroutine 42 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// A negative MaxConcurrent runs each member inline: on the caller's
+// goroutine, with the caller's context and query buffers, as a batch of
+// its own and without a Flush. Drain still waits for it.
+func testCloseAndDrainInline(t *testing.T) {
+	type call struct {
+		goid string
+		ctx  context.Context
+		q0   *float32
+	}
+	calls := make(chan call, 1)
+	release := make(chan struct{})
+	run := func(ctx context.Context, queries [][]float32, w, k int) ([]float32, error) {
+		calls <- call{goid(), ctx, &queries[0][0]}
+		<-release
+		out := make([]float32, len(queries))
+		for i, q := range queries {
+			out[i] = q[0]
+		}
+		return out, nil
+	}
+	flushes := 0
+	b := NewBatcher(run, BatcherOptions{MaxConcurrent: -1, Observer: Observer{Flush: func(int) { flushes++ }}})
+
+	type key struct{}
+	ctx := context.WithValue(context.Background(), key{}, "caller")
+	m := member(5, 3)
+	done := make(chan result, 1)
+	caller := make(chan string, 1)
+	go func() {
+		caller <- goid()
+		got, info, err := b.SubmitMember(ctx, "t", Interactive, 1, m, 8, 4)
+		done <- result{got, info, err}
+	}()
+	c := <-calls
+	if id := <-caller; c.goid != id {
+		t.Errorf("inline run on goroutine %s, Submit called on %s", c.goid, id)
+	}
+	if c.ctx != ctx || c.q0 != &m[0][0] {
+		t.Error("inline run got a copied context or query, want the caller's own")
+	}
+	if d := b.QueueDepth(); d != 0 {
+		t.Errorf("inline member parked: queue depth %d", d)
+	}
+	drained := make(chan struct{})
+	go func() { b.Drain(); close(drained) }()
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); runtime.Gosched() {
+		select {
+		case <-drained:
+			t.Fatal("Drain returned while an inline run was still in progress")
+		default:
+		}
+	}
+	close(release)
+	<-drained
+	wantMember(t, done, 5, 3, 3)
+	if flushes != 0 {
+		t.Errorf("%d Flush events for an inline run, want none", flushes)
+	}
+	if _, _, err := b.SubmitMember(ctx, "t", Interactive, 1, m, 8, 4); !errors.Is(err, ErrClosed) {
+		t.Errorf("inline submit after Drain: %v, want ErrClosed", err)
+	}
+}
+
 func TestParseLane(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -506,7 +672,7 @@ func ExampleBatcher() {
 		return out, nil
 	}
 	b := NewBatcher(run, BatcherOptions{MaxBatch: 8})
-	res, _, _ := b.Submit(context.Background(), "tenant-a", Interactive, 1, []float32{42}, 16, 10)
+	res, _, _ := b.SubmitMember(context.Background(), "tenant-a", Interactive, 1, [][]float32{{42}, {43}}, 16, 10)
 	fmt.Println(res)
-	// Output: w=16 k=10 q0=42
+	// Output: [w=16 k=10 q0=42 w=16 k=10 q0=43]
 }

@@ -82,8 +82,9 @@ type Trace struct {
 	Scanned int64 `json:"scanned,omitempty"`
 	// Tenant is the QoS tenant the request was attributed to.
 	Tenant string `json:"tenant,omitempty"`
-	// Batch is the size of the coalesced engine batch the query rode in
-	// (0 when it was not coalesced).
+	// Batch is the size, in queries, of the engine batch the request's
+	// queries rode in: its own plus any coalesced with them (0 when no
+	// engine batch ran, e.g. a cache hit).
 	Batch int `json:"batch,omitempty"`
 	// CacheHit marks queries answered from the result cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
@@ -122,7 +123,9 @@ func (t *Trace) AddSpan(name string, d time.Duration) {
 }
 
 // Stages is the engine's account of one search batch: the time in each
-// of the paper's stages and the work counted along the way.
+// of the paper's stages and the work counted along the way. A trace's
+// stage spans are those of the engine batch its request rode in, which
+// may hold other requests' queries too.
 type Stages struct {
 	Select, Scan, Rerank, Merge  time.Duration
 	Scanned, Clusters, Escalated int64
@@ -170,8 +173,8 @@ func (t *Trace) Finish(status int) {
 // ctxKey is the private context key type for trace propagation.
 type ctxKey struct{}
 
-// NewContext returns ctx carrying t, for propagation into
-// engine.RunContext and any layer below it.
+// NewContext returns ctx carrying t, for propagation into the layers
+// below the caller (a router's shard hops record into it).
 func NewContext(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, t)
 }

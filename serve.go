@@ -106,19 +106,20 @@ type Server struct {
 	BatchMaxSize int
 	// BatchMaxConcurrent is the number of engine slots of the dynamic
 	// batcher: coalesced batches executing at once (default GOMAXPROCS,
-	// applied by qos.NewBatcher; negative disables the batcher). The
-	// batcher is work-conserving: a single-query /search that finds a
-	// free engine slot runs at once, and only requests that arrive while
-	// every slot is busy are coalesced, by the next slot to free, into
-	// one ClusterMajor engine batch. Coalescing is bit-exact with
+	// applied by qos.NewBatcher), through which every software /search
+	// sends its cache misses as one member. The batcher is
+	// work-conserving: a request that finds a free engine slot runs at
+	// once, and only requests that arrive while every slot is busy are
+	// coalesced, by the next slot to free, into one ClusterMajor engine
+	// batch. Coalescing is bit-exact with
 	// per-request execution — the engine's per-query state is independent
 	// of batch composition — it only amortizes cluster selection and
-	// inverted-list loads the way the paper's Figure 5 batches do.
-	// Multi-query requests are already engine batches and always run
-	// directly. The slot bound is what makes queries coalesce and gives
-	// the QoS lanes teeth: overload backs up in the batcher queue —
-	// where interactive-lane requests are dequeued ahead of bulk —
-	// instead of racing into the engine in arrival order.
+	// inverted-list loads the way the paper's Figure 5 batches do. The
+	// slot bound is what makes queries coalesce and gives the QoS lanes
+	// teeth: overload backs up in the batcher queue — where
+	// interactive-lane requests are dequeued ahead of bulk — instead of
+	// racing into the engine in arrival order. Negative runs each
+	// request's misses inline as their own batch, with no slot bound.
 	BatchMaxConcurrent int
 	// CacheSize bounds the result cache in entries (default 4096;
 	// negative disables it). The cache is keyed on the index's own PQ
@@ -155,7 +156,7 @@ type Server struct {
 	durOnce    sync.Once    // registers durability metrics exactly once
 	recallOnce sync.Once    // registers recall metrics exactly once
 	qosOnce    sync.Once    // builds batcher/cache exactly once
-	batcher    atomic.Pointer[qos.Batcher[servedRow]]
+	batcher    *qos.Batcher[servedRow]
 	cache      atomic.Pointer[qos.Cache[servedRow]]
 	m          *serverMetrics
 	front      *httpx.Front
@@ -163,8 +164,8 @@ type Server struct {
 
 // servedRow is one query's served results plus the cache generation
 // they were computed at (see qos.Cache) and the stage timings of the
-// engine batch that produced them, so a coalesced query that later
-// proves slow can still report select/scan/merge spans.
+// engine batch that produced them, which a traced request reports as
+// its select/scan/merge spans.
 type servedRow struct {
 	res    []Result
 	gen    uint64
@@ -428,12 +429,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { s.mu.RLock(); defer s.mu.RUnlock(); return float64(s.idx.Len()) })
 	reg.GaugeFunc("anna_batch_queue_depth",
 		"Queries parked in the dynamic batcher awaiting a free engine slot.",
-		func() float64 {
-			if b := s.batcher.Load(); b != nil {
-				return float64(b.QueueDepth())
-			}
-			return 0
-		})
+		func() float64 { return float64(s.batcher.QueueDepth()) })
 	reg.GaugeFunc("anna_cache_entries",
 		"Entries in the result cache.",
 		func() float64 {
@@ -535,19 +531,17 @@ func (s *Server) initQoS() {
 			}
 			s.cache.Store(qos.NewCache[servedRow](size))
 		}
-		if s.BatchMaxConcurrent >= 0 {
-			s.batcher.Store(qos.NewBatcher(s.searchLocked, qos.BatcherOptions{
-				MaxBatch:      s.BatchMaxSize,
-				MaxConcurrent: s.BatchMaxConcurrent,
-				Observer: qos.Observer{
-					Flush: func(size, _ int) {
-						s.m.flushes.Inc()
-						s.m.batchSize.Observe(float64(size))
-					},
-					Wait: s.m.batchWait.ObserveDuration,
+		s.batcher = qos.NewBatcher(s.searchLocked, qos.BatcherOptions{
+			MaxBatch:      s.BatchMaxSize,
+			MaxConcurrent: s.BatchMaxConcurrent,
+			Observer: qos.Observer{
+				Flush: func(size int) {
+					s.m.flushes.Inc()
+					s.m.batchSize.Observe(float64(size))
 				},
-			}))
-		}
+				Wait: s.m.batchWait.ObserveDuration,
+			},
+		})
 		if s.Tenants == nil {
 			s.Tenants = qos.NewTenants(qos.TenantConfig{})
 		}
@@ -555,25 +549,23 @@ func (s *Server) initQoS() {
 }
 
 // Close releases the server's background resources: it closes the
-// batcher and waits until every in-flight coalesced batch has executed
+// batcher and waits until every in-flight engine batch has executed
 // and fanned its results out, so the index and store underneath can be
-// snapshotted and torn down without racing a parked query.
-// Callers shut the HTTP listener down first (http.Server.Shutdown), so
-// by the time Close drains no new Submits arrive.
+// snapshotted and torn down without racing a search; a later search is
+// answered 503.
 func (s *Server) Close() {
 	if s.ctrlStop != nil {
 		s.ctrlOnce.Do(func() { close(s.ctrlStop) })
 		<-s.ctrlDone
 	}
-	if b := s.batcher.Load(); b != nil {
-		b.Drain()
-	}
+	s.initQoS() // a server whose Handler was never built has a batcher too
+	s.batcher.Drain()
 	s.front.Close()
 }
 
 // searchLocked runs one software-backend engine batch under the read
-// lock and feeds the shared metrics/recall instruments; it is also the
-// batcher's RunFunc, one call per coalesced batch. The cache
+// lock and feeds the shared metrics/recall instruments. It is the
+// batcher's RunFunc, one call per engine batch. The cache
 // generation is snapshotted under the same lock the engine runs under,
 // so a row carrying it can never be stored after an invalidation that
 // its search did not observe.
@@ -632,11 +624,9 @@ func (s *Server) appendCacheKey(dst []byte, q []float32, w, k int) []byte {
 }
 
 // tenantFor resolves the request's QoS tenant from the X-API-Key
-// header (or an Authorization: Bearer token). Nil only before initQoS.
+// header (or an Authorization: Bearer token); never nil once initQoS
+// has run, which Handler does.
 func (s *Server) tenantFor(r *http.Request) *qos.Tenant {
-	if s.Tenants == nil {
-		return nil
-	}
 	key := r.Header.Get("X-API-Key")
 	if key == "" {
 		if auth := r.Header.Get("Authorization"); len(auth) > 7 && auth[:7] == "Bearer " {
@@ -705,15 +695,18 @@ func (s *Server) obsExtra() httpx.Extra {
 // away before we could answer" (there is no standard HTTP code for it).
 const statusClientClosedRequest = 499
 
-// searchErrStatus maps a SearchBatchContext error to a response code.
+// searchErrStatus maps a batcher error to a response code. Requests are
+// validated before they are submitted, so the rest are server faults.
 func searchErrStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
+	case errors.Is(err, qos.ErrClosed):
+		return http.StatusServiceUnavailable
 	default:
-		return http.StatusBadRequest
+		return http.StatusInternalServerError
 	}
 }
 
@@ -754,10 +747,7 @@ var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit() {
-		depth := 0
-		if b := s.batcher.Load(); b != nil {
-			depth = b.QueueDepth()
-		}
+		depth := s.batcher.QueueDepth()
 		s.m.rejected.Inc()
 		s.m.rejectDepth.Observe(float64(depth))
 		retry := qos.RetryAfterSeconds()
@@ -794,7 +784,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if backend == "" {
 		backend = "software"
 	}
-	if tnt != nil && !tnt.Allow(len(req.Queries)) {
+	if !tnt.Allow(len(req.Queries)) {
 		s.m.reg.Counter("anna_rejected_requests_total",
 			"Requests rejected at admission.", metrics.Label{Key: "reason", Value: "quota"}).Inc()
 		s.m.reg.Counter("anna_throttled_requests_total",
@@ -812,26 +802,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Tracing decision: client-tagged requests are always traced; the
 	// rest pay one atomic add to roll the 1-in-N sample. The untraced
 	// path allocates nothing here (benchmark-pinned in internal/trace).
-	// describe fills in a trace's request fields: a live trace's now, and
-	// the one reconstructed (parentless) for a request that proved slow.
-	describe := func(tr *trace.Trace) *trace.Trace {
-		tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
-		if tnt != nil {
-			tr.Tenant = tnt.Name
-		}
-		return tr
-	}
-	rec := s.front.Recorder()
+	// Slow untraced requests get their trace after the backend switch —
+	// only requests that already proved slow pay that cost.
 	tr := s.front.StartTrace(reqID, parent, tagged, start)
-	if tr != nil {
-		describe(tr)
-	}
-	// finish closes out a live trace with the status written so far:
-	// an error's, or 200 just before the reply is encoded. Slow untraced
-	// requests are reconstructed after the fact in the backend arms
-	// below — only requests that already proved slow pay that cost.
+	// finish fills in a trace's request fields and closes it out with
+	// the status written so far: an error's, or 200 just before the
+	// reply is encoded.
 	finish := func() {
 		if tr != nil {
+			tr.Queries, tr.W, tr.K, tr.Backend, tr.Tenant = len(req.Queries), req.W, req.K, backend, tnt.Name
 			s.front.Record(tr, w)
 		}
 	}
@@ -844,11 +823,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.SearchTimeout)
 		defer cancel()
 	}
-	if tr != nil {
-		ctx = trace.NewContext(ctx, tr)
-	}
 
-	var resp wire.SearchReply
+	var (
+		resp   wire.SearchReply
+		eng    *servedRow    // software: a row of the engine batch the misses rode in
+		batch  qos.BatchInfo // … and that batch
+		simDur time.Duration // anna: the simulation's wall time
+	)
 	switch req.Backend {
 	case "", "software":
 		dim := s.idx.Dim()
@@ -884,52 +865,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			missAt = append(missAt, i)
 		}
 		sc.miss, sc.missAt, sc.keys, sc.keyEnd = miss, missAt, keys, keyEnd
-		switch {
-		case len(miss) == 0:
-			if tr != nil {
-				tr.CacheHit = true
+		if len(miss) > 0 {
+			// The misses are one batcher member: they run together, in
+			// the next engine batch a slot takes, beside whatever else
+			// was parked.
+			mrows, info, err := s.batcher.SubmitMember(ctx, tnt.Name, tnt.Lane, tnt.Weight, miss, req.W, req.K)
+			if err != nil {
+				s.front.HTTPError(w, searchErrStatus(err), "search: %v", err)
+				finish()
+				return
 			}
-		default:
-			if b := s.batcher.Load(); b != nil && nq == 1 && len(miss) == 1 && tr == nil {
-				// Single-query requests ride the dynamic batcher so
-				// traffic beyond the engine slots shares ClusterMajor runs.
-				// Multi-query requests are already engine batches, and
-				// sampled/tagged requests run directly so their engine
-				// spans attach to the trace.
-				lane, weight, tname := qos.Interactive, 1, "default"
-				if tnt != nil {
-					lane, weight, tname = tnt.Lane, tnt.Weight, tnt.Name
-				}
-				row, info, err := b.Submit(ctx, tname, lane, weight, miss[0], req.W, req.K)
-				if err != nil {
-					s.front.HTTPError(w, searchErrStatus(err), "search: %v", err)
-					finish()
-					return
-				}
-				rows[missAt[0]] = row
-				if rec.IsSlow(time.Since(start)) {
-					tr = describe(s.front.StartTrace(reqID, "", true, start))
-					tr.Tenant = tname
-					tr.Batch = info.Size
-					tr.AddSpan("coalesce", info.Wait)
-					// Stage spans of the engine batch the query rode in.
-					tr.AddStages(row.stages)
-					tr.Effort = row.effort
-				}
-			} else {
-				mrows, err := s.searchLocked(ctx, miss, req.W, req.K)
-				if err != nil {
-					s.front.HTTPError(w, searchErrStatus(err), "search: %v", err)
-					finish()
-					return
-				}
-				for j, at := range missAt {
-					rows[at] = mrows[j]
-				}
-				if tr == nil && rec.IsSlow(time.Since(start)) {
-					tr = describe(s.front.StartTrace(reqID, "", true, start))
-					tr.AddStages(mrows[0].stages) // one batch: every row carries the same
-				}
+			eng, batch = &mrows[0], info
+			for j, at := range missAt {
+				rows[at] = mrows[j]
 			}
 			if cache != nil {
 				lo := 0
@@ -942,14 +890,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 					cache.Put(keys[lo:keyEnd[j]], req.Queries[at], row, row.gen)
 					lo = keyEnd[j]
 				}
-			}
-		}
-		// Live traces get clusters_scanned/escalated attached inside the
-		// engine (via the trace context); the effort level is a serving
-		// concern, stamped here.
-		if tr != nil {
-			if _, eff, ok := s.adaptiveKnobs(); ok {
-				tr.Effort = eff
 			}
 		}
 		// The rows are shared, not copied, into sc's pooled response
@@ -970,17 +910,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.mu.RLock()
 		rep, err := s.Accelerator.Simulate(req.Queries, SimParams{W: req.W, K: req.K})
 		s.mu.RUnlock()
-		simDur := time.Since(simStart)
+		simDur = time.Since(simStart)
 		if err != nil {
 			s.front.HTTPError(w, http.StatusBadRequest, "simulating: %v", err)
 			finish()
 			return
-		}
-		if tr == nil && rec.IsSlow(time.Since(start)) {
-			tr = describe(s.front.StartTrace(reqID, "", true, start))
-		}
-		if tr != nil {
-			tr.AddSpan("simulate", simDur)
 		}
 		resp.Results = rep.Results
 		resp.Cycles = rep.Cycles
@@ -990,6 +924,26 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.front.HTTPError(w, http.StatusBadRequest, "unknown backend %q", req.Backend)
 		finish()
 		return
+	}
+	// One trace block for both backends: a live trace, or one started
+	// now because the request proved slow, gets what the request got
+	// back. A software request's stage spans and work counts are those
+	// of the engine batch its misses rode in.
+	if tr == nil && s.front.Recorder().IsSlow(time.Since(start)) {
+		tr = s.front.StartTrace(reqID, parent, true, start)
+	}
+	if tr != nil {
+		switch {
+		case backend == "anna":
+			tr.AddSpan("simulate", simDur)
+		case eng == nil:
+			tr.CacheHit = true
+		default:
+			tr.Batch = batch.Size
+			tr.AddSpan("coalesce", batch.Wait)
+			tr.AddStages(eng.stages)
+			tr.Effort = eng.effort
+		}
 	}
 	finish()
 	var err error
@@ -1233,9 +1187,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"invalidations": invalidations,
 		}
 	}
-	if b := s.batcher.Load(); b != nil {
-		resp["batch_queue_depth"] = b.QueueDepth()
-	}
+	resp["batch_queue_depth"] = s.batcher.QueueDepth()
 	if kn, eff, ok := s.adaptiveKnobs(); ok {
 		w := kn.W
 		if w <= 0 {

@@ -3,12 +3,14 @@ package anna
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"anna/internal/metrics"
 	"anna/internal/qos"
@@ -53,15 +55,49 @@ func searchOne(t *testing.T, url string, q []float32, w, k int) []searchResult {
 	return out.Results[0]
 }
 
+// search posts one /search of queries with extra headers and returns
+// its result rows.
+func search(t *testing.T, url string, queries [][]float32, w, k int, hdr map[string]string) [][]searchResult {
+	t.Helper()
+	resp := postJSONHdr(t, url+"/search", searchRequest{Queries: queries, W: w, K: k}, hdr)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status %d", resp.StatusCode)
+	}
+	var out searchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(queries) {
+		t.Fatalf("got %d result rows for %d queries", len(out.Results), len(queries))
+	}
+	return out.Results
+}
+
+// waitFor polls cond until it holds, failing the test after a few
+// seconds with what it was waiting for.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
 // Coalesced serving returns exactly what per-request serving returns,
-// whatever the load — the acceptance pin for the dynamic batcher. One
-// client never finds the engine slots busy (every request is its own
-// batch); 64 clients released together behind two busy slots must share
-// batches; both match the direct path bit for bit.
+// whatever the load and whatever the request — the acceptance pin for
+// the one serving path. One client never finds the engine slots busy
+// (every request is its own batch). 64 clients released together behind
+// two busy slots must share batches, traced or not, and 1024-query
+// requests arriving then park behind the same two slots and run as
+// batches of their own: the slots bound every engine batch. All of it
+// matches per-request execution bit for bit, and every query is counted
+// in exactly one engine batch.
 func TestBatchedServingBitExact(t *testing.T) {
 	idx, _, queries := buildTestIndex(t, L2, 16)
 
-	// Reference: per-request execution, batcher and cache disabled.
+	// Reference: per-request execution, coalescing and cache off.
 	ref := NewServer(idx)
 	ref.BatchMaxConcurrent, ref.CacheSize = -1, -1
 	refTS := httptest.NewServer(ref.Handler())
@@ -70,13 +106,38 @@ func TestBatchedServingBitExact(t *testing.T) {
 	for i, q := range queries {
 		want[i] = searchOne(t, refTS.URL, q, 16, 10)
 	}
+	check := func(t *testing.T, what string, got, want []searchResult) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Errorf("%s result %d: batched %+v, unbatched %+v", what, j, got[j], want[j])
+			}
+		}
+	}
 
-	const n, slots = 64, 2
-	for _, clients := range []int{1, 8, n} {
-		t.Run(strconv.Itoa(clients), func(t *testing.T) {
+	const n, slots, big = 64, 2, 1024
+	bigReq := make([][]float32, big)
+	for i := range bigReq {
+		bigReq[i] = queries[i%len(queries)]
+	}
+	for _, col := range []struct {
+		name    string
+		clients int
+		traced  bool // every request carries X-Request-ID
+		bigs    int  // 1024-query requests sent behind the parked singles
+	}{
+		{"1", 1, false, 0},
+		{"8", 8, false, 0},
+		{"64", n, false, 0},
+		{"64-traced", n, true, 0},
+		{"64-multi", n, false, 2},
+	} {
+		t.Run(col.name, func(t *testing.T) {
 			s := NewServer(idx)
-			s.CacheSize = -1                         // isolate the batcher
-			s.TraceSampleEvery, s.SlowQuery = -1, -1 // traced requests bypass it
+			s.CacheSize = -1 // isolate the batcher
 			s.BatchMaxConcurrent = slots
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
@@ -85,53 +146,160 @@ func TestBatchedServingBitExact(t *testing.T) {
 			// With one request per client, stall the engine (it runs under
 			// the read lock) until every request is in: two hold the slots,
 			// the rest are parked and must leave in shared batches.
-			gated := clients == n
+			gated, locked := col.clients == n, false
 			if gated {
 				s.mu.Lock()
+				locked = true
+				defer func() {
+					if locked { // a wait below failed
+						s.mu.Unlock()
+					}
+				}()
+			}
+			hdr := func(i int) map[string]string {
+				if !col.traced {
+					return nil
+				}
+				return map[string]string{"X-Request-ID": fmt.Sprintf("bitexact-%d", i)}
 			}
 			// n single-query requests cycling the query set, spread over
 			// the clients.
 			var wg sync.WaitGroup
 			got := make([][]searchResult, n)
-			for c := 0; c < clients; c++ {
+			for c := 0; c < col.clients; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					for i := c; i < n; i += clients {
-						got[i] = searchOne(t, ts.URL, queries[i%len(queries)], 16, 10)
+					for i := c; i < n; i += col.clients {
+						got[i] = search(t, ts.URL, [][]float32{queries[i%len(queries)]}, 16, 10, hdr(i))[0]
 					}
 				}(c)
 			}
+			gotBig := make([][][]searchResult, col.bigs)
 			if gated {
-				for b := s.batcher.Load(); b == nil || b.QueueDepth() < n-slots; b = s.batcher.Load() {
-					runtime.Gosched()
+				waitFor(t, fmt.Sprintf("%d single queries are parked behind %d held slots", n-slots, slots),
+					func() bool { return s.batcher.QueueDepth() == n-slots })
+				for b := range gotBig {
+					wg.Add(1)
+					go func(b int) {
+						defer wg.Done()
+						gotBig[b] = search(t, ts.URL, bigReq, 16, 10, nil)
+					}(b)
+				}
+				waitFor(t, fmt.Sprintf("%d multi-query requests are parked whole, beside the singles", col.bigs),
+					func() bool { return s.batcher.QueueDepth() == n-slots+col.bigs*big })
+				if f := s.m.flushes.Value(); f != slots {
+					t.Errorf("%d engine batches started with every slot held, want %d", f, slots)
 				}
 				s.mu.Unlock()
+				locked = false
 			}
 			wg.Wait()
 
 			for i := 0; i < n; i++ {
-				w := want[i%len(queries)]
-				if len(got[i]) != len(w) {
-					t.Fatalf("request %d: %d results, want %d", i, len(got[i]), len(w))
-				}
-				for j := range w {
-					if got[i][j] != w[j] {
-						t.Errorf("request %d result %d: batched %+v, unbatched %+v", i, j, got[i][j], w[j])
-					}
+				check(t, fmt.Sprintf("request %d", i), got[i], want[i%len(queries)])
+			}
+			for b, rows := range gotBig {
+				for i, row := range rows {
+					check(t, fmt.Sprintf("big request %d query %d", b, i), row, want[i%len(queries)])
 				}
 			}
 			flushes := s.m.flushes.Value()
 			switch {
-			case clients == 1 && flushes != n:
+			case col.clients == 1 && flushes != n:
 				t.Errorf("%d engine batches for %d sequential requests, want one each", flushes, n)
-			case gated && flushes != slots+1:
-				t.Errorf("%d engine batches, want %d: one per held slot, one for the %d parked behind them", flushes, slots+1, n-slots)
-			case flushes == 0 || flushes > n:
-				t.Errorf("%d engine batches for %d requests (batcher not on the path?)", flushes, n)
+			case gated && flushes != uint64(slots+1+col.bigs):
+				// The parked singles leave together; a member larger than
+				// the batch cap runs alone.
+				t.Errorf("%d engine batches, want %d: one per held slot, one for the %d singles parked behind them, one per big request",
+					flushes, slots+1+col.bigs, n-slots)
+			case flushes == 0 || flushes > n+uint64(col.bigs):
+				t.Errorf("%d engine batches for %d requests (batcher not on the path?)", flushes, n+col.bigs)
 			}
-			t.Logf("%d clients: %d requests rode %d engine batches", clients, n, flushes)
+			if q := s.m.batchSize.Sum(); q != float64(n+col.bigs*big) {
+				t.Errorf("engine batches held %v queries, want every one of the %d served", q, n+col.bigs*big)
+			}
+			if col.traced {
+				// A traced request reports the engine batch it rode in:
+				// its stage spans and its size.
+				parked := 0
+				for i := 0; i < n; i++ {
+					tr := getTrace(t, ts.URL, fmt.Sprintf("bitexact-%d", i))
+					if tr.SpanDuration("select") <= 0 || tr.SpanDuration("scan") <= 0 || tr.Scanned <= 0 {
+						t.Errorf("trace %d: zero-valued stage spans: %+v", i, tr.Spans)
+					}
+					switch tr.Batch {
+					case 1:
+					case n - slots:
+						parked++
+					default:
+						t.Errorf("trace %d: batch %d, want 1 (a held slot) or %d (the parked batch)", i, tr.Batch, n-slots)
+					}
+				}
+				if parked != n-slots {
+					t.Errorf("%d traces rode the parked batch, want %d", parked, n-slots)
+				}
+			}
+			t.Logf("%d clients, %d big requests: %d requests rode %d engine batches", col.clients, col.bigs, n+col.bigs, flushes)
 		})
+	}
+}
+
+// Close waits for every engine batch in flight, multi-query requests
+// included, so the index underneath can be snapshotted and torn down
+// without racing a search; a search that arrives after Close is
+// refused 503 and counted as a server error.
+func TestCloseDrainsInFlightSearch(t *testing.T) {
+	idx, _, queries := buildTestIndex(t, L2, 16)
+	s := NewServer(idx)
+	s.CacheSize = -1
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	big := make([][]float32, 1024)
+	for i := range big {
+		big[i] = queries[i%len(queries)]
+	}
+	s.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.mu.Unlock()
+		}
+	}()
+	done := make(chan int, 1)
+	go func() {
+		resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: big, W: 16, K: 10})
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	waitFor(t, "the 1024-query request's engine batch has started", func() bool { return s.m.flushes.Value() == 1 })
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an engine batch was blocked under the index lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	locked = false
+	<-closed
+	if q := s.m.queries.Value(); q != uint64(len(big)) {
+		t.Errorf("Close returned with %d of %d queries searched", q, len(big))
+	}
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("in-flight search answered %d, want 200", code)
+	}
+
+	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: queries[:1], W: 16, K: 10})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("search after Close answered %d, want 503", resp.StatusCode)
+	}
+	refused := s.m.reg.Counter("anna_http_requests_total", "Requests by handler and status code.",
+		metrics.Label{Key: "handler", Value: "search"}, metrics.Label{Key: "code", Value: "503"})
+	if refused.Value() != 1 {
+		t.Errorf("503s counted %d, want 1", refused.Value())
 	}
 }
 
@@ -233,8 +401,8 @@ func TestConcurrentSearchAddUnderBatcher(t *testing.T) {
 	}
 }
 
-// The pooled-scratch pin: a single-query request on the direct path
-// stays within a bounded allocation budget: 67 measured, of which the
+// The pooled-scratch pin: a single-query request with coalescing off
+// (its member runs inline, on the handler's goroutine) stays within a bounded allocation budget: 67 measured, of which the
 // wire codec contributes none and the result rows one arena (anna.Result
 // is the engine's own type, so they reach the reply uncopied). The bound
 // holds under -race, where sync.Pool drops a quarter of its Puts and the
@@ -244,7 +412,7 @@ func TestSearchAllocsPerRequest(t *testing.T) {
 	s := NewServer(idx)
 	s.TraceSampleEvery = -1
 	s.SlowQuery = -1
-	s.BatchMaxConcurrent = -1 // direct path: no batcher goroutine handoff
+	s.BatchMaxConcurrent = -1 // inline: no batcher goroutine handoff
 	s.CacheSize = -1
 	h := s.Handler()
 
@@ -384,8 +552,8 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-// Multi-query requests never ride the batcher (they are already engine
-// batches) and still serve partial cache hits per query.
+// A multi-query request serves partial cache hits per query; only its
+// misses ride the batcher, as one member.
 func TestMultiQueryPartialCacheHits(t *testing.T) {
 	s, ts, _ := newTestServer(t)
 	qs := clusteredVectors(4, 32, 24, 55)
